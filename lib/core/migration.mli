@@ -22,9 +22,10 @@ type migration_plan = { target : Machine.id; moves : move list }
 
 val find_and_apply_migration :
   Cluster.t -> Container.t -> max_moves:int -> migration_plan option
-(** Searches machine by machine; applies the first consistent plan (moves
-    executed, the target left free for the caller to place into). Plans
-    that fail mid-way are rolled back. Returns the applied plan. *)
+(** Searches online machines in id order; applies the first consistent
+    plan (moves executed, the target left free for the caller to place
+    into). Plans that fail mid-way are rolled back. Returns the applied
+    plan. *)
 
 type preemption_plan = {
   target_machine : Machine.id;
@@ -37,8 +38,9 @@ val find_and_apply_preemption :
   Container.t ->
   preemption_plan option
 (** Evicts the fewest strictly-lower-weighted containers that make the
-    container admissible somewhere. Evicted containers are removed from the
-    cluster; the caller re-queues them. *)
+    container admissible on some online machine (ties: the lowest id).
+    Evicted containers are removed from the cluster; the caller re-queues
+    them. *)
 
 val repair_placement :
   ?max_moves:int -> Cluster.t -> Container.t -> Machine.id option

@@ -312,6 +312,233 @@ let test_preemption_priority_safe () =
   Alcotest.(check bool) "low cannot preempt high" true
     (Aladdin.Migration.find_and_apply_preemption cl w low = None)
 
+(* Preemption with a drained offline machine: the empty machine must not
+   win "fewest evictions" (it admits nothing), so the plan still evicts
+   the two low-priority containers of machine 0. *)
+let test_preemption_skips_offline () =
+  let apps =
+    [|
+      Application.make ~id:0 ~n_containers:5 ~demand:(Resource.cpu_only 16.) ();
+      Application.make ~id:1 ~n_containers:1 ~demand:(Resource.cpu_only 32.)
+        ~priority:2 ();
+    |]
+  in
+  let cl = cluster_of apps ~n_machines:3 ~machine_cpu:32. in
+  for i = 0 to 1 do
+    ignore (Cluster.place cl (mk ~id:i ~app:0 16.) 0);
+    ignore (Cluster.place cl (mk ~id:(10 + i) ~app:0 16.) 1)
+  done;
+  ignore (Cluster.place cl (mk ~id:20 ~app:0 16.) 2);
+  Cluster.set_offline cl 2 true;
+  check int "drained" 1 (List.length (Cluster.drain cl 2));
+  let high = mk ~id:99 ~app:1 ~priority:2 32. in
+  let w =
+    Aladdin.Weights.compute [| high; mk ~id:100 ~app:0 16. |] ~capacity:cap32
+  in
+  match Aladdin.Migration.find_and_apply_preemption cl w high with
+  | Some plan ->
+      check int "online target" 0 plan.Aladdin.Migration.target_machine;
+      check int "evicts both low-priority" 2
+        (List.length plan.Aladdin.Migration.evicted);
+      Alcotest.(check bool) "high placeable" true
+        (Cluster.place cl high 0 = Ok ())
+  | None -> Alcotest.fail "preemption expected despite the offline machine"
+
+(* ---------- migration planner ≡ scan-based reference ---------- *)
+
+(* Everything the planners may touch, in the machines' container order. *)
+let machine_state cl =
+  Array.to_list
+    (Array.map
+       (fun m ->
+         ( List.map
+             (fun (c : Container.t) -> c.Container.id)
+             (Machine.containers m),
+           Resource.to_array (Machine.free m) ))
+       (Cluster.machines cl))
+
+type step =
+  | Migrated of Aladdin.Migration.migration_plan
+  | Preempted of Aladdin.Migration.preemption_plan
+  | Stuck
+
+(* The scheduler's fallback chain for one unplaceable container: migrate,
+   else preempt, then place on the freed target. *)
+let plan_step ~migrate ~preempt cl weights ((c : Container.t), max_moves) =
+  let place mid =
+    if Cluster.place cl c mid <> Ok () then Alcotest.fail "freed target denied"
+  in
+  match migrate cl c ~max_moves with
+  | Some (plan : Aladdin.Migration.migration_plan) ->
+      place plan.target;
+      Migrated plan
+  | None -> (
+      match preempt cl weights c with
+      | Some (plan : Aladdin.Migration.preemption_plan) ->
+          place plan.target_machine;
+          Preempted plan
+      | None -> Stuck)
+
+(* Run [queries] through both planners on twin clusters from [build];
+   every step must give the same plan and the same machine states. *)
+let same_as_reference build weights queries =
+  let fast = build () and slow = build () in
+  List.for_all
+    (fun q ->
+      let a =
+        plan_step ~migrate:Aladdin.Migration.find_and_apply_migration
+          ~preempt:Aladdin.Migration.find_and_apply_preemption fast weights q
+      in
+      let b =
+        plan_step ~migrate:Ref_migration.find_and_apply_migration
+          ~preempt:Ref_migration.find_and_apply_preemption slow weights q
+      in
+      a = b && machine_state fast = machine_state slow)
+    queries
+
+(* A conflict-only victim set whose second victim's targets are first
+   needed by the relocation. Machine 0 holds Y (app 1) and W (app 2),
+   both conflicting with X (app 0); machine 2 has room for one of them
+   and is the only target of either. Moving Y there dooms W's relocation,
+   so the plan on machine 0 rolls back; machine 1's plan then needs W's
+   targets as the call found them (machine 2), not as they were with Y
+   moved. *)
+let test_migration_targets_before_first_move () =
+  let apps =
+    [|
+      Application.make ~id:0 ~n_containers:1 ~demand:(Resource.cpu_only 5.)
+        ~anti_affinity_across:[ 1; 2 ] ();
+      Application.make ~id:1 ~n_containers:1 ~demand:(Resource.cpu_only 1.) ();
+      Application.make ~id:2 ~n_containers:2 ~demand:(Resource.cpu_only 1.)
+        ~anti_affinity_within:true ();
+      Application.make ~id:3 ~n_containers:1 ~demand:(Resource.cpu_only 9.) ();
+      Application.make ~id:4 ~n_containers:1 ~demand:(Resource.cpu_only 5.)
+        ~anti_affinity_across:[ 1 ] ();
+    |]
+  in
+  let build () =
+    let cl = cluster_of apps ~n_machines:3 ~machine_cpu:10. in
+    List.iter
+      (fun (c, mid) ->
+        if Cluster.place cl c mid <> Ok () then Alcotest.fail "setup")
+      [
+        (mk ~id:1 ~app:1 1., 0);
+        (mk ~id:2 ~app:2 1., 0);
+        (mk ~id:3 ~app:2 1., 1);
+        (mk ~id:4 ~app:4 5., 1);
+        (mk ~id:5 ~app:3 9., 2);
+      ];
+    cl
+  in
+  let cl = build () in
+  Alcotest.(check (list int)) "Y is relocated before W" [ 1; 2 ]
+    (List.map
+       (fun (c : Container.t) -> c.Container.id)
+       (Machine.containers (Cluster.machine cl 0)));
+  let x = mk ~id:9 ~app:0 5. in
+  (match Aladdin.Migration.find_and_apply_migration cl x ~max_moves:4 with
+  | Some { Aladdin.Migration.target; moves = [ mv ] } ->
+      check int "X lands on machine 1" 1 target;
+      check int "W moved off machine 1" 3
+        mv.Aladdin.Migration.container.Container.id;
+      check int "to machine 2" 2 mv.Aladdin.Migration.to_machine
+  | _ -> Alcotest.fail "one-move plan on machine 1 expected");
+  let w = Aladdin.Weights.compute [| x |] ~capacity:(Resource.cpu_only 10.) in
+  check bool "same as the reference" true
+    (same_as_reference build w [ (x, 4) ])
+
+let cap_2d = Resource.make ~cpu:8. ~mem_gb:16.
+
+(* Nearly full random clusters with anti-affinity (within and across),
+   a few demand shapes shared between apps, priority classes, and at times
+   one drained offline machine; then a run of new containers, each with a
+   random move budget and a random priority class. *)
+let random_migration_case seed =
+  let rng = Rng.create seed in
+  let shapes =
+    [| (1., 1.); (1., 2.); (2., 2.); (2., 4.); (3., 4.); (4., 8.) |]
+  in
+  let shape () =
+    let cpu, mem_gb = shapes.(Rng.int rng (Array.length shapes)) in
+    Resource.make ~cpu ~mem_gb
+  in
+  let n_apps = 3 + Rng.int rng 5 in
+  let apps =
+    Array.init n_apps (fun i ->
+        Application.make ~id:i ~n_containers:1 ~demand:(shape ())
+          ~priority:(Rng.int rng 3)
+          ~anti_affinity_within:(Rng.bool rng 0.5)
+          ~anti_affinity_across:
+            (List.filter (fun _ -> Rng.bool rng 0.5) (List.init i Fun.id))
+          ())
+  in
+  let container id =
+    let a = apps.(Rng.int rng n_apps) in
+    Container.make ~id ~app:a.Application.id
+      ~demand:(if Rng.bool rng 0.75 then a.Application.demand else shape ())
+      ~priority:a.Application.priority ~arrival:id
+  in
+  let n_machines = 4 + Rng.int rng 7 in
+  let fresh () =
+    Cluster.create
+      (Topology.homogeneous ~machines_per_rack:2 ~racks_per_group:2 ~n_machines
+         ~capacity:cap_2d ())
+      ~constraints:(Constraint_set.of_apps apps)
+  in
+  (* Record the fill on a scratch cluster: first admissible machine from a
+     random start, until several containers in a row find none. *)
+  let scratch = fresh () in
+  let rec fill id misses acc =
+    if misses >= 8 then List.rev acc
+    else
+      let c = container id in
+      let start = Rng.int rng n_machines in
+      let rec first k =
+        if k = n_machines then None
+        else
+          let mid = (start + k) mod n_machines in
+          if Cluster.admissible scratch c mid = Ok () then Some mid
+          else first (k + 1)
+      in
+      match first 0 with
+      | Some mid ->
+          ignore (Cluster.place scratch c mid);
+          fill (id + 1) 0 ((c, mid) :: acc)
+      | None -> fill (id + 1) (misses + 1) acc
+  in
+  let placements = fill 0 0 [] in
+  let offline =
+    if Rng.bool rng 0.25 then Some (Rng.int rng n_machines) else None
+  in
+  let build () =
+    let cl = fresh () in
+    List.iter (fun (c, mid) -> ignore (Cluster.place cl c mid)) placements;
+    Option.iter
+      (fun mid ->
+        Cluster.set_offline cl mid true;
+        ignore (Cluster.drain cl mid))
+      offline;
+    cl
+  in
+  let queries =
+    List.init (6 + Rng.int rng 10) (fun i ->
+        let c = container (1000 + i) in
+        ({ c with Container.priority = Rng.int rng 3 }, 1 + Rng.int rng 8))
+  in
+  let weights =
+    Aladdin.Weights.compute
+      (Array.of_list (List.map fst queries))
+      ~capacity:cap_2d
+  in
+  (build, weights, queries)
+
+let prop_migration_matches_reference =
+  QCheck.Test.make ~count:1000 ~name:"planners = scan-based reference"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let build, weights, queries = random_migration_case seed in
+      same_as_reference build weights queries)
+
 (* ---------- end-to-end scheduler invariants ---------- *)
 
 let random_workload_gen =
@@ -393,6 +620,40 @@ let test_placement_identity_seed42 () =
   check int "every container placed" n
     (List.length (Cluster.placements cl));
   check int "placement fingerprint" (-4400591963670697737) fingerprint
+
+(* Golden run of the saturated path: a small trace in low-priority-first
+   (CLP) order on 30% of the machines its CPU demand fills, in batches of
+   25, so most containers go through migration and preemption planning.
+   The fingerprint and work counts were captured from the machine-by-
+   machine scan planners; faster planning must not move any of them. If
+   an intentional algorithm change does, re-capture and update. *)
+let test_saturated_identity () =
+  let w =
+    Arrival.apply Arrival.Low_priority_first
+      (Alibaba.generate { (Alibaba.scaled 0.005) with Alibaba.seed = 42 })
+  in
+  let total = Resource.get (Workload.total_demand w) Resource.cpu_dim in
+  let per = Resource.get w.Workload.machine_capacity Resource.cpu_dim in
+  let n_machines =
+    int_of_float (ceil (0.3 *. float_of_int total /. float_of_int per))
+  in
+  let cl = Gen.fresh_cluster w ~n_machines in
+  let sched = Aladdin.Aladdin_scheduler.make () in
+  let containers = w.Workload.containers in
+  let n = Array.length containers in
+  let migrations = ref 0 and preemptions = ref 0 and i = ref 0 in
+  while !i < n do
+    let len = min 25 (n - !i) in
+    let o = sched.Scheduler.schedule cl (Array.sub containers !i len) in
+    migrations := !migrations + o.Scheduler.migrations;
+    preemptions := !preemptions + o.Scheduler.preemptions;
+    i := !i + len
+  done;
+  check int "placed" 150 (Cluster.n_placed cl);
+  check int "migrations" 63 !migrations;
+  check int "preemptions" 170 !preemptions;
+  check int "placement fingerprint" (-3606171233552239721)
+    (Journal.placement_fingerprint (Cluster.placements cl))
 
 let test_scheduler_names () =
   check bool "plain" true
@@ -614,6 +875,11 @@ let () =
             test_fig7_capacity_migration;
           Alcotest.test_case "preemption priority-safe" `Quick
             test_preemption_priority_safe;
+          Alcotest.test_case "preemption skips offline machines" `Quick
+            test_preemption_skips_offline;
+          Alcotest.test_case "targets looked up before the first move" `Quick
+            test_migration_targets_before_first_move;
+          QCheck_alcotest.to_alcotest prop_migration_matches_reference;
         ] );
       ( "scheduler",
         [
@@ -622,6 +888,8 @@ let () =
           Alcotest.test_case "policy names" `Quick test_scheduler_names;
           Alcotest.test_case "placement identity (seed 42)" `Quick
             test_placement_identity_seed42;
+          Alcotest.test_case "saturated identity (CLP, seed 42)" `Quick
+            test_saturated_identity;
           Alcotest.test_case "priority under CLP" `Quick
             test_priority_respected_under_clp;
           Alcotest.test_case "cross-batch preemption safety" `Quick
