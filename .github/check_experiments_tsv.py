@@ -10,8 +10,9 @@ Each flag validates one exported file:
             both the aladdin and the engine-stack columns
   --serve   serve_sweep.tsv   — exact header, >= 1 point, strictly
             increasing rates, exact admission accounting
-            (admitted = arrivals - rejected) and >= 1 saturated point
-            (the sweep must reach backpressure)
+            (admitted = arrivals - rejected), ordered latency tails
+            (p50 <= p99 <= p999 <= max) at every point and >= 1
+            saturated point (the sweep must reach backpressure)
 """
 
 import os
@@ -27,6 +28,8 @@ SERVE_HEADER = [
     "undeployed", "batches", "p50_ms", "p99_ms", "p999_ms", "max_ms",
     "queue_depth_max", "saturated",
 ]
+
+TAIL_KEYS = ("p50_ms", "p99_ms", "p999_ms", "max_ms")
 
 
 def fail(msg):
@@ -114,9 +117,13 @@ def check_serve(dirpath):
         if admitted != arrivals - rejected:
             fail(f"serve_sweep.tsv: admitted {admitted} != arrivals {arrivals}"
                  f" - rejected {rejected}")
-        for key in ("p50_ms", "p99_ms", "p999_ms", "max_ms"):
-            if as_float("serve_sweep.tsv", r, key) < 0:
+        tails = [as_float("serve_sweep.tsv", r, key) for key in TAIL_KEYS]
+        for key, v in zip(TAIL_KEYS, tails):
+            if v < 0:
                 fail(f"serve_sweep.tsv: negative {key}")
+        if any(lo > hi + 1e-6 for lo, hi in zip(tails, tails[1:])):
+            fail(f"serve_sweep.tsv: tails out of order at rate {rate}"
+                 f" (need p50 <= p99 <= p999 <= max): {tails}")
         if r["saturated"] not in ("true", "false"):
             fail(f"serve_sweep.tsv: saturated={r['saturated']!r} not true/false")
     if not any(r["saturated"] == "true" for r in rows):

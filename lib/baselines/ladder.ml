@@ -25,8 +25,7 @@ let make ?deadline_ms ?shed ?rungs ?first () =
     | None when Sys.getenv_opt "ALADDIN_LADDER" <> None ->
         Flownet.Registry.rungs_of_env ()
     | None ->
-        (* unlike the registry's solver-only ladder, the scheduler-level
-           default ends on the solver-free terminal rung *)
+        (* the default ends on the solver-free terminal rung *)
         default_rungs
   in
   let names = if names = [] then default_rungs else names in

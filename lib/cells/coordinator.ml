@@ -169,7 +169,7 @@ let fresh_mirror b cs =
 
 (* Mirrors are rebuilt from scratch rather than patched: a rebuild gives
    each cell a *fresh* Cluster identity, which any warm per-cell scheduler
-   state is keyed on — so carried search/projection state invalidates
+   state is keyed on — so carried search state invalidates
    itself exactly when the world changed under it. Rebuilds are rare
    (bind, out-of-band outer mutation, post-failure, rotation change).
    Quarantined cells own a zero-width slice and are skipped — their stale
@@ -706,19 +706,3 @@ let n_cells t =
   | None -> t.req_cells
 
 let last_breakdown t = Option.bind t.bound (fun b -> b.last)
-
-(* ---- read-only cell views (the cells flow-solver path) ---------------- *)
-
-let free_estimates t outer =
-  let b = sync t outer in
-  Array.copy b.free_cpu
-
-let map_cells t outer ~batch ~f =
-  let b = sync t outer in
-  let subs = assign b batch in
-  let tasks =
-    Array.map
-      (fun cs () -> f ~cell:cs.idx ~lo:cs.lo ~mirror:cs.mirror ~sub:subs.(cs.idx))
-      b.cells
-  in
-  Pool.run (pool_for t (Array.length b.cells)) tasks

@@ -87,21 +87,3 @@ val n_cells : t -> int
 
 val last_breakdown : t -> breakdown option
 (** Timing/shape of the most recent successful batch. *)
-
-val free_estimates : t -> Cluster.t -> int array
-(** Per-cell online free CPU, after syncing mirrors to the outer cluster. *)
-
-val map_cells :
-  t ->
-  Cluster.t ->
-  batch:Container.t array ->
-  f:
-    (cell:int ->
-    lo:int ->
-    mirror:Cluster.t ->
-    sub:Container.t array ->
-    'a) ->
-  ('a, exn) result array
-(** Sync mirrors, assign [batch], and run [f] once per cell (all cells,
-    including ones with empty sub-batches) on the domain pool. [f] must
-    treat [mirror] as read-only — this is the cells flow-solver hook. *)

@@ -114,9 +114,9 @@ let reslice t ~live =
     { t with bounds; cell_of_rack }
   end
 
-(* ALADDIN_CELLS is a comma-separated list of cell counts; the bench runs
-   one column per entry, a single scheduler uses the last (most sharded)
-   entry. Unset or unparsable entries are ignored. *)
+(* ALADDIN_CELLS is a comma-separated list of cell counts; a scheduler
+   uses the last (most sharded) entry. Unset or unparsable entries are
+   ignored. *)
 let cells_of_env () =
   match Sys.getenv_opt "ALADDIN_CELLS" with
   | None -> None

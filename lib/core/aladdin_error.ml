@@ -1,14 +1,10 @@
 type t =
-  | Solver of Flownet.Error.t
-  | Injected_fault of string
   | Placement_failed of { container : Container.id; machine : Machine.id }
   | Inventory_changed of string
 
 exception E of t
 
 let to_string = function
-  | Solver e -> "solver: " ^ Flownet.Error.to_string e
-  | Injected_fault msg -> "injected fault: " ^ msg
   | Placement_failed { container; machine } ->
       Printf.sprintf "placement of container %d on machine %d denied"
         container machine

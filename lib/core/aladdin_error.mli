@@ -4,13 +4,9 @@
     augments), so recoverable failures travel as the single exception
     {!E} carrying a typed payload — callers catch exactly [E] (never a
     bare [exn]), roll the cluster back, and degrade: the warm scheduler
-    falls back to a cold solve, the replay driver rejects the batch. *)
+    retries the batch cold, the replay driver rejects the batch. *)
 
 type t =
-  | Solver of Flownet.Error.t
-      (** The min-cost solver failed (negative cycle, stale potentials). *)
-  | Injected_fault of string
-      (** A {!Fault}-harness injection tripped mid-batch. *)
   | Placement_failed of { container : Container.id; machine : Machine.id }
       (** A placement the scheduler had established as admissible was
           denied — the cluster changed under the scheduler's feet. *)

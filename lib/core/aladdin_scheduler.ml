@@ -40,24 +40,13 @@ let name_of_options o =
 let last_stats : Search.stats option ref = ref None
 let last_search_stats () = !last_stats
 
-(* Warm-start state carried between batches: the search (with its
-   cross-batch equivalence classes) and a persistent scalar-projection
-   arena for solver-driven consumers. Placements are unaffected — only
+(* Warm-start state carried between batches: the search, with its
+   cross-batch equivalence classes. Placements are unaffected — only
    per-batch setup cost. *)
 type warm = {
   mutable w_cluster : Cluster.t option;
   mutable w_search : Search.t option;
-  w_projection : Flow_graph.projection_cache;
 }
-
-let warm_create () =
-  {
-    w_cluster = None;
-    w_search = None;
-    w_projection = Flow_graph.projection_cache ();
-  }
-
-let warm_projection w = w.w_projection
 
 let c_creates = Obs.counter "aladdin.search_creates"
 let c_refreshes = Obs.counter "aladdin.search_refreshes"
@@ -224,8 +213,7 @@ let schedule_raw options cluster batch = schedule_batch options cluster batch
 
 let warm_invalidate w =
   w.w_search <- None;
-  w.w_cluster <- None;
-  Flow_graph.projection_invalidate w.w_projection
+  w.w_cluster <- None
 
 (* Everything the scheduler can recover from travels as one of these two
    exceptions; anything else (Out_of_memory, a genuine bug) propagates. *)
@@ -246,13 +234,12 @@ let make ?(options = default_options) () =
       schedule_batch options cluster batch)
 
 let make_warm ?(options = default_options) () =
-  let warm = warm_create () in
+  let warm = { w_cluster = None; w_search = None } in
   let cold () =
     (* Warm state is suspect after a failed batch: drop the carried
-       search, cluster binding and projection potentials, then retry
-       the batch cold. The cold retry re-derives everything from the
-       (restored) cluster, so its placements match a never-warmed
-       scheduler batch for batch. *)
+       search and cluster binding, then retry the batch cold. The cold
+       retry re-derives everything from the (restored) cluster, so its
+       placements match a never-warmed scheduler batch for batch. *)
     warm_invalidate warm;
     {
       Scheduler.name = name_of_options options;

@@ -56,27 +56,17 @@ val recoverable : exn -> bool
 
 (** {2 Incremental warm start}
 
-    A warm scheduler keeps per-cluster state alive between successive
-    batches instead of rebuilding it from scratch: the {!Search} machinery
-    (refreshed per batch, with its cross-batch machine equivalence classes)
-    and a persistent scalar-projection arena carrying Johnson potentials
-    for solver-driven consumers. Warm start changes batch latency only —
+    A warm scheduler keeps its {!Search} machinery alive between
+    successive batches against the same cluster instead of rebuilding it
+    from scratch: the search is refreshed per batch and keeps its
+    cross-batch machine equivalence classes. It binds lazily to the first
+    cluster it schedules and re-binds (dropping the carried state) if
+    pointed at another. Warm start changes batch latency only —
     placements are identical to the from-scratch scheduler, batch for
     batch (enforced by the equivalence regression test). *)
 
-type warm
-
-val warm_create : unit -> warm
-(** Fresh warm state; lazily binds to the first cluster it schedules and
-    re-binds (dropping the carried state) if pointed at another cluster. *)
-
-val warm_projection : warm -> Flow_graph.projection_cache
-(** The persistent scalar-projection arena, for callers that also run a
-    min-cost solve per batch (see
-    {!Flow_graph.scalar_projection_incremental}). *)
-
 val make_warm : ?options:options -> unit -> Scheduler.t
-(** Like {!make} but carrying a private {!warm} state across calls. *)
+(** Like {!make} but carrying a private warm search across calls. *)
 
 val last_search_stats : unit -> Search.stats option
 (** Stats of the most recent [schedule] call made through {!make} (for the

@@ -40,7 +40,6 @@ let create ?cells ?mode ?(options = Aladdin_scheduler.default_options)
   { coordinator; scheduler; n_cells = cells }
 
 let scheduler t = t.scheduler
-let coordinator t = t.coordinator
 let n_cells t = t.n_cells
 let shutdown t = Cells.Coordinator.shutdown t.coordinator
 let last_breakdown t = Cells.Coordinator.last_breakdown t.coordinator

@@ -32,9 +32,6 @@ val create :
 val scheduler : t -> Scheduler.t
 (** The composite scheduler, wrapped in [cells.*] batch obs. *)
 
-val coordinator : t -> Cells.Coordinator.t
-(** For {!Cells_solver.solve} and breakdown inspection. *)
-
 val n_cells : t -> int
 val shutdown : t -> unit
 val last_breakdown : t -> Cells.Coordinator.breakdown option

@@ -83,11 +83,7 @@ let to_dot t =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let c_rebuilds = Obs.counter "flow_graph.projection_rebuilds"
-let c_reuses = Obs.counter "flow_graph.projection_reuses"
-let c_caps_updated = Obs.counter "flow_graph.projection_caps_updated"
-
-let scalar_projection ?(dim = Resource.cpu_dim) ?(machine_cost = fun _ -> 0) t =
+let scalar_projection ?(dim = Resource.cpu_dim) t =
   let nt, na, ng, nr, nn = tiers t in
   let g = Flownet.Graph.create ~arc_hint:(n_edges t) (n_vertices t) in
   let source = 0 and sink = 1 in
@@ -127,231 +123,7 @@ let scalar_projection ?(dim = Resource.cpu_dim) ?(machine_cost = fun _ -> 0) t =
   for y = 0 to nn - 1 do
     let x = Topology.rack_of topo y in
     ignore (Flownet.Graph.add_arc g ~src:(rv x) ~dst:(nv y) ~cap:inf ~cost:0);
-    let m = Cluster.machine t.cluster y in
-    let free = units (Machine.free m) in
-    ignore
-      (Flownet.Graph.add_arc g ~src:(nv y) ~dst:sink ~cap:free
-         ~cost:(machine_cost m))
+    let free = units (Machine.free (Cluster.machine t.cluster y)) in
+    ignore (Flownet.Graph.add_arc g ~src:(nv y) ~dst:sink ~cap:free ~cost:0)
   done;
-  (g, source, sink)
-
-(* ---------- persistent (warm-start) projection ---------- *)
-
-(* The incremental projection keeps one Flownet arena alive across batches.
-   Vertex layout puts the topology tiers first so their ids — and the arcs
-   between them — survive every batch:
-
-     0:s  1:t  [G_k]  [R_x]  [N_y]  | task slots | app slots |
-
-   The G→R, R→N and N→t arcs are built once ("fixed" prefix of the arc
-   arena); each batch truncates the arena back to that prefix, resets
-   residuals, delta-updates the N→t capacities that actually changed, and
-   appends only the s→T→A→G arcs of the new batch. *)
-
-type projection_delta = {
-  rebuilt : bool;
-  arcs_reused : int;       (** fixed forward arcs kept from the last batch *)
-  arcs_added : int;        (** batch-tier forward arcs appended *)
-  caps_updated : int;      (** machine arcs whose free capacity changed *)
-}
-
-type projection_cache = {
-  p_cost_fn : Machine.t -> int;
-  mutable p_graph : Flownet.Graph.t option;
-  mutable p_cluster : Cluster.t option;
-  mutable p_dim : int;
-  mutable p_slots : int;          (* task (= app) vertex slots available *)
-  mutable p_fixed_mark : int;     (* arc-arena mark after the fixed tier *)
-  mutable p_inf : int;            (* cached inner capacity (cluster total) *)
-  mutable p_machine_arc : int array;
-  mutable p_machine_cap : int array;
-  mutable p_machine_cost : int array;
-  p_warm : Flownet.Mincost.warm;
-  mutable p_delta : projection_delta;
-}
-
-let projection_cache ?(machine_cost = fun _ -> 0) () =
-  {
-    p_cost_fn = machine_cost;
-    p_graph = None;
-    p_cluster = None;
-    p_dim = -1;
-    p_slots = 0;
-    p_fixed_mark = 0;
-    p_inf = 0;
-    p_machine_arc = [||];
-    p_machine_cap = [||];
-    p_machine_cost = [||];
-    p_warm = Flownet.Mincost.warm_create ();
-    p_delta = { rebuilt = true; arcs_reused = 0; arcs_added = 0; caps_updated = 0 };
-  }
-
-let projection_warm cache = cache.p_warm
-let projection_delta cache = cache.p_delta
-
-let projection_invalidate cache =
-  cache.p_graph <- None;
-  cache.p_cluster <- None;
-  cache.p_warm.Flownet.Mincost.pot_n <- 0;
-  cache.p_warm.Flownet.Mincost.prevalidated <- false
-
-let scalar_projection_incremental ?(dim = Resource.cpu_dim) cache t =
-  let nt, na, ng, nr, nn = tiers t in
-  let topo = Cluster.topology t.cluster in
-  let units (r : Resource.t) = Resource.get r dim in
-  let fixed_n = 2 + ng + nr + nn in
-  let source = 0 and sink = 1 in
-  let gv k = 2 + k in
-  let rv x = 2 + ng + x in
-  let nv y = 2 + ng + nr + y in
-  let same_cluster =
-    match cache.p_cluster with Some c -> c == t.cluster | None -> false
-  in
-  let needs_rebuild =
-    cache.p_graph = None || not same_cluster || cache.p_dim <> dim
-    || max nt na > cache.p_slots
-  in
-  (* Effectively-infinite inner capacity. Unlike the one-shot projection we
-     bound it by the total cluster capacity — batch-independent (machine
-     capacities are immutable), and never tighter than the machine arcs it
-     feeds — so it is computed once per arena and the fixed tier needs no
-     per-batch capacity rewrites. *)
-  if needs_rebuild then
-    cache.p_inf <-
-      Array.fold_left
-        (fun acc m -> acc + units (Machine.capacity m))
-        1
-        (Cluster.machines t.cluster);
-  let inf = cache.p_inf in
-  let g, caps_updated =
-    if needs_rebuild then begin
-      Obs.incr c_rebuilds;
-      let slots = max 64 (2 * max nt na) in
-      let g =
-        Flownet.Graph.create
-          ~arc_hint:(nr + (2 * nn) + (4 * slots))
-          (fixed_n + (2 * slots))
-      in
-      for x = 0 to nr - 1 do
-        let k = Topology.group_of_rack topo x in
-        ignore (Flownet.Graph.add_arc g ~src:(gv k) ~dst:(rv x) ~cap:inf ~cost:0)
-      done;
-      let machine_arc = Array.make nn (-1) in
-      let machine_cap = Array.make nn 0 in
-      let machine_cost = Array.make nn 0 in
-      for y = 0 to nn - 1 do
-        let x = Topology.rack_of topo y in
-        ignore (Flownet.Graph.add_arc g ~src:(rv x) ~dst:(nv y) ~cap:inf ~cost:0);
-        let m = Cluster.machine t.cluster y in
-        let cap = units (Machine.free m) in
-        let cost = cache.p_cost_fn m in
-        machine_arc.(y) <-
-          Flownet.Graph.add_arc g ~src:(nv y) ~dst:sink ~cap ~cost;
-        machine_cap.(y) <- cap;
-        machine_cost.(y) <- cost
-      done;
-      cache.p_graph <- Some g;
-      cache.p_cluster <- Some t.cluster;
-      cache.p_dim <- dim;
-      cache.p_slots <- slots;
-      cache.p_fixed_mark <- Flownet.Graph.mark g;
-      cache.p_machine_arc <- machine_arc;
-      cache.p_machine_cap <- machine_cap;
-      cache.p_machine_cost <- machine_cost;
-      cache.p_warm.Flownet.Mincost.pot_n <- 0;
-      cache.p_warm.Flownet.Mincost.prevalidated <- false;
-      (g, 0)
-    end
-    else begin
-      Obs.incr c_reuses;
-      let g = Option.get cache.p_graph in
-      Flownet.Graph.truncate g cache.p_fixed_mark;
-      Flownet.Graph.reset_flows g;
-      let pot = cache.p_warm.Flownet.Mincost.potential in
-      let have_pot =
-        cache.p_warm.Flownet.Mincost.pot_n = Flownet.Graph.n_vertices g
-      in
-      let caps_updated = ref 0 in
-      let min_sink = ref max_int in
-      for y = 0 to nn - 1 do
-        let m = Cluster.machine t.cluster y in
-        let cap = units (Machine.free m) in
-        if cap <> cache.p_machine_cap.(y) then begin
-          Flownet.Graph.set_capacity g cache.p_machine_arc.(y) cap;
-          cache.p_machine_cap.(y) <- cap;
-          incr caps_updated
-        end;
-        let cost = cache.p_cost_fn m in
-        if cost <> cache.p_machine_cost.(y) then begin
-          Flownet.Graph.set_cost g cache.p_machine_arc.(y) cost;
-          cache.p_machine_cost.(y) <- cost
-        end;
-        if have_pot && cap > 0 then begin
-          let s = cost + pot.{nv y} in
-          if s < !min_sink then min_sink := s
-        end
-      done;
-      (* Only the N→t arcs can lose potential validity between batches (a
-         machine arc revived from cap 0, or repriced, may have negative
-         reduced cost under the carried potentials). [pot t] appears in no
-         other arc's reduced cost, so lowering it to min(cost + pot N) over
-         the live machine arcs repairs them all without touching the rest
-         of the vector. *)
-      if have_pot && !min_sink < pot.{sink} then pot.{sink} <- !min_sink;
-      Obs.add c_caps_updated !caps_updated;
-      (g, !caps_updated)
-    end
-  in
-  let tv i = fixed_n + i in
-  let av j = fixed_n + cache.p_slots + j in
-  (* Batch tier: s→T_i→A_j→G_k. *)
-  let app_slot = Hashtbl.create (max 1 na) in
-  List.iteri (fun j app -> Hashtbl.replace app_slot app j) t.apps;
-  Array.iteri
-    (fun i (c : Container.t) ->
-      let j = Hashtbl.find app_slot c.Container.app in
-      ignore
-        (Flownet.Graph.add_arc g ~src:source ~dst:(tv i)
-           ~cap:(units c.Container.demand) ~cost:0);
-      ignore (Flownet.Graph.add_arc g ~src:(tv i) ~dst:(av j) ~cap:inf ~cost:0))
-    t.batch;
-  List.iteri
-    (fun j _ ->
-      for k = 0 to ng - 1 do
-        ignore (Flownet.Graph.add_arc g ~src:(av j) ~dst:(gv k) ~cap:inf ~cost:0)
-      done)
-    t.apps;
-  (* Patch the carried Johnson potentials for the slot region: a fresh batch
-     reuses slot vertices whose stored potentials belong to the previous
-     batch's tasks. Any value P with P >= potential(G_k) for all k makes
-     every new zero-cost arc's reduced cost nonnegative (s→T and T→A become
-     exactly 0, A→G_k becomes P - potential(G_k) >= 0), so the whole carried
-     vector stays valid and the SPFA bootstrap is skipped. *)
-  let pot = cache.p_warm.Flownet.Mincost.potential in
-  if cache.p_warm.Flownet.Mincost.pot_n = Flownet.Graph.n_vertices g then begin
-    let p = ref 0 in
-    for k = 0 to ng - 1 do
-      if pot.{gv k} > !p then p := pot.{gv k}
-    done;
-    pot.{source} <- !p;
-    for i = 0 to nt - 1 do
-      pot.{tv i} <- !p
-    done;
-    for j = 0 to na - 1 do
-      pot.{av j} <- !p
-    done;
-    (* The vector is now valid arc-by-arc: the fixed tier by the bootstrap
-       invariant (Mincost fills unreachable vertices with the max finite
-       distance, and the arena's costs are nonnegative), the machine arcs
-       by the sink repair above, the batch arcs by this patch. Promise that
-       to the solver so it skips its O(arcs) validation scan. *)
-    cache.p_warm.Flownet.Mincost.prevalidated <- true
-  end;
-  cache.p_delta <-
-    {
-      rebuilt = needs_rebuild;
-      arcs_reused = (if needs_rebuild then 0 else cache.p_fixed_mark / 2);
-      arcs_added = (Flownet.Graph.mark g - cache.p_fixed_mark) / 2;
-      caps_updated;
-    };
   (g, source, sink)

@@ -28,59 +28,10 @@ val n_edges : t -> int
 val naive_edges : t -> int
 (** |T|·|N| — what a flat bipartite network would cost. *)
 
-val scalar_projection :
-  ?dim:int -> ?machine_cost:(Machine.t -> int) -> t ->
-  Flownet.Graph.t * int * int
-(** CPU-dimension projection as a classic scalar flow network; returns
-    [(graph, source, sink)]. Its max flow upper-bounds the total demand any
-    schedule can place (used by tests). [machine_cost] prices the N→t arcs
-    (default 0 — a pure feasibility network). *)
-
-(** {2 Persistent warm-start projection}
-
-    A {!projection_cache} keeps one flow-network arena alive across
-    successive batches against the same cluster. The topology tiers
-    (G→R→N→t) are built once and reused; each batch truncates the arena
-    back to that fixed prefix, resets residuals, rewrites only the machine
-    capacities that changed since the previous batch, and appends the
-    batch's own s→T→A→G arcs. Johnson potentials are carried in the
-    cache's {!Flownet.Mincost.warm} so successive min-cost solves skip
-    their SPFA bootstrap (see [Mincost.run ?warm]). *)
-
-type projection_delta = {
-  rebuilt : bool;     (** this batch forced a from-scratch arena rebuild *)
-  arcs_reused : int;  (** fixed forward arcs kept from the last batch *)
-  arcs_added : int;   (** batch-tier forward arcs appended *)
-  caps_updated : int; (** machine arcs whose free capacity changed *)
-}
-
-type projection_cache
-
-val projection_cache : ?machine_cost:(Machine.t -> int) -> unit -> projection_cache
-(** A fresh cache. [machine_cost] assigns the N→t arc costs (default: 0,
-    i.e. a pure feasibility network); it is re-evaluated every batch and
-    changed costs are written through {!Flownet.Graph.set_cost}. *)
-
-val scalar_projection_incremental :
-  ?dim:int -> projection_cache -> t -> Flownet.Graph.t * int * int
-(** Like {!scalar_projection} but reusing the cache's arena. The returned
-    graph is owned by the cache and is invalidated by the next call. Max
-    flow (and min cost) over it equal the from-scratch projection's — only
-    vertex numbering and arc order differ. A cache rebuilds from scratch
-    when it sees a new cluster, a new [dim], or a batch larger than its
-    slot region (grown geometrically). *)
-
-val projection_warm : projection_cache -> Flownet.Mincost.warm
-(** The carried Johnson potentials, to pass as [Mincost.run ?warm]. *)
-
-val projection_delta : projection_cache -> projection_delta
-(** What the last {!scalar_projection_incremental} call reused vs rebuilt. *)
-
-val projection_invalidate : projection_cache -> unit
-(** Drop the cache's arena binding and carried potentials so the next
-    {!scalar_projection_incremental} rebuilds from scratch. Used when a
-    batch fails mid-solve and the arena/potentials can no longer be
-    trusted (the cold-fallback path of the warm scheduler). *)
+val scalar_projection : ?dim:int -> t -> Flownet.Graph.t * int * int
+(** CPU-dimension projection as a classic scalar flow network with zero
+    arc costs; returns [(graph, source, sink)]. Its max flow upper-bounds
+    the total demand any schedule can place (used by tests). *)
 
 val to_dot : t -> string
 (** Graphviz rendering of the tiered network (containers collapsed into

@@ -206,11 +206,6 @@ let serve_env_serve () =
     serve_machines = Env.int "ALADDIN_SERVE_MACHINES" 500;
   }
 
-let serve_of_env ?(base = default) () =
-  match of_name ~base (Env.string "ALADDIN_SERVE_SCHED" "aladdin") with
-  | Ok spec -> { spec with serve = Some (serve_env_serve ()) }
-  | Error e -> invalid_arg ("Stack.serve_of_env: " ^ e)
-
 let rung_names = lazy (Flownet.Registry.names () @ [ "gokube" ])
 
 let of_args ?(base = default) args =
@@ -343,9 +338,6 @@ let of_args ?(base = default) args =
     | arg :: _ -> Error (Printf.sprintf "unknown stack argument %S" arg)
   in
   go base args
-
-let cells_sweep_of_env () =
-  match Cells.Partition.cells_of_env () with Some ns -> ns | None -> [ 1; 4 ]
 
 type built = {
   spec : spec;

@@ -12,8 +12,8 @@
     placement fingerprint) to the hand-built stacks it replaced. *)
 
 type kind =
-  | Aladdin  (** the paper's scheduler, cold projections *)
-  | Aladdin_warm  (** warm-started projections (PR 2) *)
+  | Aladdin  (** the paper's scheduler, search rebuilt every batch *)
+  | Aladdin_warm  (** the same, search refreshed across batches *)
   | Cells  (** [Aladdin.Cells_scheduler] sharded over domains *)
   | Firmament
   | Medea
@@ -99,16 +99,6 @@ val of_args : ?base:spec -> string list -> (spec, string) result
     any [--supervise-*] knob) attaches
     {!Cells.Supervisor.config_of_env}. Unknown arguments are an
     [Error]. *)
-
-val cells_sweep_of_env : unit -> int list
-(** The cell-count sweep [ALADDIN_CELLS] requests (default [[1; 4]] —
-    the 1-cell run anchors speedups). *)
-
-val serve_of_env : ?base:spec -> unit -> spec
-(** {!of_env} for the serving phase: the stack named by
-    [ALADDIN_SERVE_SCHED] (default "aladdin") carrying a {!serve} config
-    from [ALADDIN_SERVE_*] with [ALADDIN_SERVE_MACHINES] (default 500)
-    machines. *)
 
 type built = {
   spec : spec;

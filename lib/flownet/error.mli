@@ -2,8 +2,8 @@
 
     Solvers that can fail on malformed input or an unexpected solver state
     return [(_, Error.t) result] instead of raising, so callers (the
-    schedulers, the bench harness) can degrade gracefully — reject the
-    batch, fall back to a cold solve — rather than crash the process. *)
+    schedulers) can degrade gracefully — reject the batch, escalate to
+    another backend — rather than crash the process. *)
 
 type t =
   | Negative_cycle of int list
@@ -11,9 +11,8 @@ type t =
           payload is the cycle's arc ids (in path order, possibly empty if
           the cycle could not be reconstructed). *)
   | Invalid_potential of string
-      (** Carried Johnson potentials violated the nonnegative-reduced-cost
-          precondition mid-solve (e.g. the graph was mutated, or a
-          prevalidation promise was wrong). *)
+      (** Johnson potentials violated the nonnegative-reduced-cost
+          precondition mid-solve (e.g. the graph was mutated). *)
   | Solver_fault of string
       (** An injected or otherwise unexpected solver-step failure. *)
   | Deadline_exceeded of string

@@ -5,7 +5,7 @@
    GC work, unlike the int32/int64 kinds (boxed per access without flambda)
    and unlike growing OCaml arrays (minor-heap churn + copying collector
    traffic). Every long-lived label/CSR array in this library lives here so
-   a warm solve allocates zero words. *)
+   the solvers' phase loops allocate zero words. *)
 
 type t = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 

@@ -13,90 +13,35 @@
    real cost telescopes to pot(dst) - pot(src); the phase's cost is that
    value times the units pushed, with no per-arc accumulation.
 
-   All label vectors are unboxed {!Ia.t} buffers carried in the warm state,
-   so a warm solve allocates zero words on the heap. *)
+   All label vectors are unboxed {!Ia.t} buffers allocated once per
+   solve, so the phase loop itself allocates nothing on the heap. *)
 
 type stats = { flow : int; cost : int; iterations : int }
 
-type warm = {
-  mutable potential : Ia.t;
-  mutable pot_n : int;
-  mutable prevalidated : bool;
+(* Per-solve scratch: the Dijkstra workspace, BFS hop levels over the
+   rc-0 subgraph (-1 = unvisited at rest), the BFS queue ring, per-vertex
+   CSR cursors for the DFS, and the solve's working potentials. *)
+type scratch = {
   ws : Dijkstra.workspace;
-  (* Blocking-flow scratch, internal: BFS hop levels over the rc-0
-     subgraph (-1 = unvisited at rest), the BFS queue ring, per-vertex CSR
-     cursors for the DFS, and the solve's working potentials. *)
-  mutable level : Ia.t;
-  mutable queue : Ia.t;
-  mutable cursor : Ia.t;
-  mutable pot : Ia.t;
+  level : Ia.t;
+  queue : Ia.t;
+  cursor : Ia.t;
+  pot : Ia.t;
 }
 
-let warm_create () =
+let scratch n =
   {
-    potential = Ia.empty;
-    pot_n = 0;
-    prevalidated = false;
     ws = Dijkstra.workspace ();
-    level = Ia.empty;
-    queue = Ia.empty;
-    cursor = Ia.empty;
-    pot = Ia.empty;
+    level = Ia.create ~fill:(-1) n;
+    queue = Ia.create n;
+    cursor = Ia.create n;
+    pot = Ia.create n;
   }
 
-let c_bootstraps = Obs.counter "mincost.spfa_bootstraps"
-let c_warm_hits = Obs.counter "mincost.warm_hits"
-let c_warm_misses = Obs.counter "mincost.warm_misses"
 let c_paths = Obs.counter "mincost.augmenting_paths"
 let c_dijkstra = Obs.counter "mincost.dijkstra_runs"
 let c_phases = Obs.counter "mincost.blocking_phases"
-let c_carry_refreshes = Obs.counter "mincost.carry_refreshes"
 let c_errors = Obs.counter "mincost.errors"
-
-(* The Dijkstra phases only ever explore the residual subgraph reachable
-   from [src], and pushing flow can only shrink that region (reverse arcs
-   appear between already-reached vertices) — so nonnegative reduced cost
-   need only hold there. Arcs stranded beyond the reachable frontier (e.g.
-   negative-cost arcs between vertices the source cannot feed) are
-   irrelevant and must not invalidate a warm start. *)
-let potential_valid g ~src (potential : Ia.t) =
-  let n = Graph.n_vertices g in
-  if Ia.length potential < n then false
-  else begin
-    let first = Graph.first_out g and arcs = Graph.arc_of g in
-    let seen = Array.make n false in
-    seen.(src) <- true;
-    let stack = ref [ src ] in
-    let ok = ref true in
-    while !ok && !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | u :: rest ->
-          stack := rest;
-          for i = first.{u} to first.{u + 1} - 1 do
-            let a = arcs.{i} in
-            if !ok && Graph.residual g a > 0 then begin
-              let v = Graph.dst g a in
-              if
-                Inf.add (Inf.add (Graph.cost g a) potential.{u})
-                  (-potential.{v})
-                < 0
-              then ok := false
-              else if not seen.(v) then begin
-                seen.(v) <- true;
-                stack := v :: !stack
-              end
-            end
-          done
-    done;
-    !ok
-  end
-
-let ensure_scratch w n =
-  w.level <- Ia.ensure w.level n ~fill:(-1);
-  w.queue <- Ia.ensure w.queue n ~fill:0;
-  w.cursor <- Ia.ensure w.cursor n ~fill:0;
-  w.pot <- Ia.ensure w.pot n ~fill:0
 
 (* BFS levels over residual arcs with zero reduced cost. Fills [w.level]
    and [w.cursor] for the visited region, records it in [w.queue], and
@@ -188,69 +133,34 @@ let blocking_flow w ~dl g first arcs ~src ~dst budget =
   in
   dfs src budget
 
-let solve ?warm ~dl ~max_flow g ~src ~dst =
+let solve ~dl ~max_flow g ~src ~dst =
   let n = Graph.n_vertices g in
   Graph.freeze g;
   let first = Graph.first_out g and arcs = Graph.arc_of g in
-  let is_warm = warm <> None in
-  (* Cold solves use a throwaway warm record purely as a scratch holder;
-     only a caller-supplied one carries potentials to the next solve. *)
-  let w = match warm with Some w -> w | None -> warm_create () in
-  ensure_scratch w n;
+  let w = scratch n in
   let pot = w.pot in
   let total_flow = ref 0 in
   let total_cost = ref 0 in
   let iterations = ref 0 in
   let continue = ref (max_flow > 0) in
   let error = ref None in
-  let warm_ok =
-    is_warm && w.pot_n = n
-    && (w.prevalidated || potential_valid g ~src w.potential)
-  in
-  w.prevalidated <- false;
-  (* Refresh the carried potentials from the first Dijkstra phase — but
-     only while no flow has been pushed yet: phase-1 potentials describe
-     the graph in its entry (all-reset) state, exactly what the next
-     batch's zero-flow solve starts from. Without this the carried vector
-     is only ever the original SPFA bootstrap and goes staler every batch,
-     which is precisely the work the warm path was redoing. *)
-  let carry_refresh = ref warm_ok in
-  if warm_ok then begin
-    Obs.incr c_warm_hits;
-    Ia.blit w.potential 0 pot 0 n
-  end
-  else begin
-    if is_warm then Obs.incr c_warm_misses;
-    (* Initial potentials via SPFA, valid with negative arc costs. *)
-    Obs.incr c_bootstraps;
-    match Spfa.run ?deadline:dl g ~src with
-    | Error e ->
-        error := Some e;
-        continue := false
-    | Ok bootstrap ->
-        Ia.blit bootstrap.Spfa.dist 0 pot 0 n;
-        (* Unreachable vertices never sit on an augmenting path, so any finite
-           potential works for the solve itself. Using the largest finite
-           distance (rather than 0) additionally makes every arc *out of* the
-           unreachable region keep a nonnegative reduced cost when arc costs
-           are themselves nonnegative — no residual arc enters that region, so
-           with this fill the carried potentials stay valid arc-by-arc, which
-           is what lets the incremental projection revalidate in O(changed). *)
-        let dmax = ref 0 in
-        for v = 0 to n - 1 do
-          if pot.{v} <> max_int && pot.{v} > !dmax then dmax := pot.{v}
-        done;
-        for v = 0 to n - 1 do
-          if pot.{v} = max_int then pot.{v} <- !dmax
-        done;
-        (* Carry the bootstrap potentials — exact for the entry state. *)
-        if is_warm then begin
-          w.potential <- Ia.ensure w.potential n ~fill:0;
-          Ia.blit pot 0 w.potential 0 n;
-          w.pot_n <- n
-        end;
-        continue := !continue && bootstrap.Spfa.dist.{dst} <> max_int
-  end;
+  (* Initial potentials via SPFA, valid with negative arc costs. *)
+  (match Spfa.run ?deadline:dl g ~src with
+  | Error e ->
+      error := Some e;
+      continue := false
+  | Ok bootstrap ->
+      Ia.blit bootstrap.Spfa.dist 0 pot 0 n;
+      (* Unreachable vertices never sit on an augmenting path, so any
+         finite potential works; use the largest finite distance. *)
+      let dmax = ref 0 in
+      for v = 0 to n - 1 do
+        if pot.{v} <> max_int && pot.{v} > !dmax then dmax := pot.{v}
+      done;
+      for v = 0 to n - 1 do
+        if pot.{v} = max_int then pot.{v} <- !dmax
+      done;
+      continue := !continue && bootstrap.Spfa.dist.{dst} <> max_int);
   while !continue && !total_flow < max_flow do
     Deadline.tick_opt dl "mincost.augment";
     (* Saturate every remaining shortest path of the current cost in one
@@ -276,9 +186,9 @@ let solve ?warm ~dl ~max_flow g ~src ~dst =
         Dijkstra.run_ws w.ws ~stop_at:dst ?deadline:dl g ~src ~potential:pot
       with
       | exception Invalid_argument msg ->
-          (* Carried potentials turned out stale mid-solve (a bad
-             [prevalidated] promise or a mutated graph). Surface it as a
-             typed error; the scheduler layer falls back to a cold solve. *)
+          (* Potentials turned out invalid mid-solve (a graph mutated
+             under the solver). Surface it as a typed error rather than
+             an exception. *)
           error := Some (Error.Invalid_potential msg);
           continue := false
       | d_dst ->
@@ -288,14 +198,7 @@ let solve ?warm ~dl ~max_flow g ~src ~dst =
                does not exist, which a sound graph cannot produce; stop
                defensively instead of looping. *)
             continue := false
-          else begin
-            Dijkstra.relax_potentials w.ws ~potential:pot ~d_dst;
-            if !carry_refresh && !total_flow = 0 then begin
-              Obs.incr c_carry_refreshes;
-              Ia.blit pot 0 w.potential 0 n
-            end;
-            carry_refresh := false
-          end
+          else Dijkstra.relax_potentials w.ws ~potential:pot ~d_dst
     end
   done;
   match !error with
@@ -304,7 +207,7 @@ let solve ?warm ~dl ~max_flow g ~src ~dst =
       Error e
   | None -> Ok { flow = !total_flow; cost = !total_cost; iterations = !iterations }
 
-let run ?warm ?deadline ?(max_flow = max_int) g ~src ~dst =
+let run ?deadline ?(max_flow = max_int) g ~src ~dst =
   (* An explicit [deadline] keeps this a Result API: its expiry anywhere in
      the solve (SPFA bootstrap, a Dijkstra phase, the blocking flow)
      comes back as the typed [Deadline_exceeded]. An *ambient* deadline
@@ -312,7 +215,7 @@ let run ?warm ?deadline ?(max_flow = max_int) g ~src ~dst =
      {!Deadline.Expired} so the middleware can catch it batch-wide and
      escalate down its degradation ladder. *)
   let dl = Deadline.resolve deadline in
-  match solve ?warm ~dl ~max_flow g ~src ~dst with
+  match solve ~dl ~max_flow g ~src ~dst with
   | r -> r
   | exception Deadline.Expired { site; deadline = d }
     when (match deadline with Some d' -> d' == d | None -> false) ->

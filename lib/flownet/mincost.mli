@@ -6,7 +6,7 @@
     flow over the zero-reduced-cost residual subgraph, which saturates
     every shortest path of the current cost at once — Dijkstra reruns only
     when the path cost strictly increases. This is the solver behind the
-    Firmament baseline and the incremental Aladdin projection. *)
+    Firmament baseline. *)
 
 type stats = {
   flow : int;        (** total units pushed *)
@@ -14,36 +14,7 @@ type stats = {
   iterations : int;  (** blocking-flow phases run *)
 }
 
-type warm = {
-  mutable potential : Ia.t;
-  mutable pot_n : int;
-      (** vertices the carried potentials cover; [0] means cold. *)
-  mutable prevalidated : bool;
-  ws : Dijkstra.workspace;
-  mutable level : Ia.t;   (** internal blocking-flow scratch *)
-  mutable queue : Ia.t;   (** internal *)
-  mutable cursor : Ia.t;  (** internal *)
-  mutable pot : Ia.t;     (** internal: the solve's working potentials *)
-}
-(** Johnson potentials carried across successive solves ([pot_n = 0] means
-    cold). Callers that edit the graph between solves (e.g. the incremental
-    projection) may patch [potential] entries directly; {!run} validates
-    before use, unless [prevalidated] is set — a one-shot flag (cleared by
-    {!run}) for callers that maintain validity by construction and check
-    the arcs they edit themselves. [ws] and the scratch vectors carry all
-    per-solve label state, so repeated warm solves allocate zero heap
-    words. *)
-
-val warm_create : unit -> warm
-
-val potential_valid : Graph.t -> src:int -> Ia.t -> bool
-(** Whether every residual arc reachable from [src] has nonnegative reduced
-    cost under the given potentials — the precondition for skipping the
-    SPFA bootstrap. Arcs beyond the reachable frontier can never carry
-    flow, so they do not participate. *)
-
 val run :
-  ?warm:warm ->
   ?deadline:Deadline.t ->
   ?max_flow:int ->
   Graph.t ->
@@ -54,7 +25,7 @@ val run :
     Flows are recorded in the graph.
 
     Returns [Error] — never raises — when the SPFA bootstrap finds a
-    negative cycle or carried potentials turn out invalid mid-solve
+    negative cycle or its potentials turn out invalid mid-solve
     (counted under [mincost.errors]). Flow pushed before the failure
     remains recorded in the graph; callers recovering from an error should
     [Graph.reset_flows] (or rebuild) before retrying.
@@ -64,15 +35,4 @@ val run :
     exhaustion returns the typed [Error Deadline_exceeded]. Without it, an
     ambient {!Deadline} armed by scheduler middleware is ticked instead
     and its expiry propagates as {!Deadline.Expired} for ladder
-    escalation.
-
-    With [?warm]: if the carried potentials fit the graph and pass
-    {!potential_valid}, the SPFA bootstrap is skipped entirely (an O(arcs)
-    validation scan replaces an O(vertices * arcs) worst-case labeling);
-    otherwise the solver falls back to SPFA and stores the fresh bootstrap
-    potentials back into [warm] for the next call. A warm solve whose
-    first Dijkstra phase runs before any flow is pushed also refreshes the
-    carried potentials from that phase ([mincost.carry_refreshes]) — they
-    describe the graph's entry state exactly, so the carry stays tight
-    instead of going staler every batch. Counted under the [mincost.*]
-    {!Obs} counters. *)
+    escalation. *)

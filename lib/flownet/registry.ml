@@ -18,7 +18,7 @@ let instrument (module M : Solver_intf.S) : (module Solver_intf.S) =
     let name = M.name
     let caps = M.caps
 
-    let solve ?warm ?deadline ?max_flow g ~src ~dst =
+    let solve ?deadline ?max_flow g ~src ~dst =
       Obs.incr c_solves;
       let t0 = Obs.now_ns () in
       let r =
@@ -27,7 +27,7 @@ let instrument (module M : Solver_intf.S) : (module Solver_intf.S) =
            the deadline this call received explicitly. An ambient deadline
            (armed by scheduler middleware) keeps propagating as the
            exception so the middleware can escalate. *)
-        match M.solve ?warm ?deadline ?max_flow g ~src ~dst with
+        match M.solve ?deadline ?max_flow g ~src ~dst with
         | r -> r
         | exception Deadline.Expired { site; deadline = d }
           when (match deadline with Some d' -> d' == d | None -> false) ->
@@ -51,8 +51,8 @@ let names () =
 let name (module M : Solver_intf.S) = M.name
 let caps (module M : Solver_intf.S) = M.caps
 
-let solve (module M : Solver_intf.S) ?warm ?deadline ?max_flow g ~src ~dst =
-  M.solve ?warm ?deadline ?max_flow g ~src ~dst
+let solve (module M : Solver_intf.S) ?deadline ?max_flow g ~src ~dst =
+  M.solve ?deadline ?max_flow g ~src ~dst
 
 let default = "mincost"
 
@@ -71,10 +71,8 @@ let of_env () =
            requested
            (String.concat ", " (names ())))
 
-(* ---- degradation ladder ---- *)
+(* ---- degradation ladder rungs (run by Baselines.Ladder) ---- *)
 
-let c_escalations = Obs.counter "ladder.escalations"
-let rung_counter name = Obs.counter (Printf.sprintf "ladder.rung.%s" name)
 let default_rungs = [ "mincost"; "cost-scaling"; "dinic" ]
 
 let rungs_of_env () =
@@ -94,64 +92,25 @@ let rungs_of_env () =
       if rungs = [] then default_rungs else rungs
   | _ -> default_rungs
 
-let solve_ladder ?rungs ?deadline_ms ?warm ?max_flow g ~src ~dst =
-  let rungs =
-    (match rungs with Some r -> r | None -> rungs_of_env ())
-    |> List.filter_map (fun r -> Option.map (fun m -> (r, m)) (find r))
-  in
-  let rungs =
-    match rungs with [] -> [ (default, Option.get (find default)) ] | r -> r
-  in
-  let budget () =
-    match deadline_ms with
-    | Some ms -> Some (Deadline.make ~wall_ms:ms ())
-    | None -> Option.map (fun ms -> Deadline.make ~wall_ms:ms ()) (Deadline.of_env ())
-  in
-  let rec attempt = function
-    | [] -> assert false (* rungs is non-empty *)
-    | [ (name, m) ] ->
-        (* Terminal rung runs unbounded: a batch always completes, even if
-           it has to wait for the cheapest solver. *)
-        Graph.reset_flows g;
-        let r = solve m ?warm ?max_flow g ~src ~dst in
-        (match r with Ok _ -> Obs.incr (rung_counter name) | Error _ -> ());
-        (r, name)
-    | (name, m) :: rest -> (
-        Graph.reset_flows g;
-        match solve m ?warm ?deadline:(budget ()) ?max_flow g ~src ~dst with
-        | Ok _ as r ->
-            Obs.incr (rung_counter name);
-            (r, name)
-        | Error (Error.Deadline_exceeded _) ->
-            Obs.incr c_escalations;
-            attempt rest
-        | Error _ as r -> (r, name))
-  in
-  attempt rungs
-
 (* ---- built-in backends ---- *)
 
 module Mincost_backend = struct
   let name = "mincost"
 
   let caps =
-    { Solver_intf.min_cost = true; supports_max_flow = true; warm_start = true }
+    { Solver_intf.min_cost = true; supports_max_flow = true }
 
-  let solve ?warm ?deadline ?max_flow g ~src ~dst =
-    Mincost.run ?warm ?deadline ?max_flow g ~src ~dst
+  let solve ?deadline ?max_flow g ~src ~dst =
+    Mincost.run ?deadline ?max_flow g ~src ~dst
 end
 
 module Cost_scaling_backend = struct
   let name = "cost-scaling"
 
   let caps =
-    {
-      Solver_intf.min_cost = true;
-      supports_max_flow = true;
-      warm_start = false;
-    }
+    { Solver_intf.min_cost = true; supports_max_flow = true }
 
-  let solve ?warm:_ ?deadline ?max_flow g ~src ~dst =
+  let solve ?deadline ?max_flow g ~src ~dst =
     Ok (Cost_scaling.run ?deadline ?max_flow g ~src ~dst)
 end
 
@@ -159,13 +118,9 @@ module Dinic_backend = struct
   let name = "dinic"
 
   let caps =
-    {
-      Solver_intf.min_cost = false;
-      supports_max_flow = true;
-      warm_start = false;
-    }
+    { Solver_intf.min_cost = false; supports_max_flow = true }
 
-  let solve ?warm:_ ?deadline ?max_flow g ~src ~dst =
+  let solve ?deadline ?max_flow g ~src ~dst =
     let flow = Dinic.run ?deadline ?max_flow g ~src ~dst in
     Ok { Mincost.flow; cost = flow_cost g; iterations = 0 }
 end
@@ -174,13 +129,9 @@ module Push_relabel_backend = struct
   let name = "push-relabel"
 
   let caps =
-    {
-      Solver_intf.min_cost = false;
-      supports_max_flow = false;
-      warm_start = false;
-    }
+    { Solver_intf.min_cost = false; supports_max_flow = false }
 
-  let solve ?warm:_ ?deadline ?max_flow:_ g ~src ~dst =
+  let solve ?deadline ?max_flow:_ g ~src ~dst =
     let flow = Push_relabel.run ?deadline g ~src ~dst in
     Ok { Mincost.flow; cost = flow_cost g; iterations = 0 }
 end

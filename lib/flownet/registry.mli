@@ -1,7 +1,7 @@
 (** Name → solver backend registry.
 
     The four built-in backends register themselves at load time:
-    ["mincost"] (successive shortest paths, warm-startable),
+    ["mincost"] (successive shortest paths),
     ["cost-scaling"], ["dinic"] and ["push-relabel"]. Each registered
     backend is wrapped with per-backend obs series
     ([solver.<name>.solves], [solver.<name>.errors],
@@ -32,7 +32,6 @@ val caps : (module Solver_intf.S) -> Solver_intf.caps
 
 val solve :
   (module Solver_intf.S) ->
-  ?warm:Mincost.warm ->
   ?deadline:Deadline.t ->
   ?max_flow:int ->
   Graph.t ->
@@ -47,29 +46,10 @@ val solve :
 
 val default_rungs : string list
 (** [["mincost"; "cost-scaling"; "dinic"]] — cheapest-exact to
-    cheapest-approximate, the order {!solve_ladder} tries them. *)
+    cheapest-approximate, the order [Baselines.Ladder] tries them. *)
 
 val rungs_of_env : unit -> string list
 (** Rung names from [ALADDIN_LADDER] (comma-separated), default
     {!default_rungs}. ["gokube"] is accepted for scheduler-level ladders
     even though it is not a flow solver.
     @raise Invalid_argument on any other unknown name. *)
-
-val solve_ladder :
-  ?rungs:string list ->
-  ?deadline_ms:float ->
-  ?warm:Mincost.warm ->
-  ?max_flow:int ->
-  Graph.t ->
-  src:int ->
-  dst:int ->
-  (Mincost.stats, Error.t) result * string
-(** Degradation ladder over flow-solver backends: try each rung of
-    [rungs] (default {!rungs_of_env}; non-backend names such as
-    ["gokube"] are skipped) under a fresh deadline of [deadline_ms]
-    (default [ALADDIN_DEADLINE_MS]), escalating to the next rung — after
-    [Graph.reset_flows] — whenever the budget is exhausted. The terminal
-    rung runs unbounded so the solve always completes. Returns the result
-    together with the name of the rung that produced it. Increments
-    [ladder.rung.<name>] on the winning rung and [ladder.escalations]
-    per hand-off. *)

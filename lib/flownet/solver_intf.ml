@@ -3,8 +3,8 @@
     All backends speak the {!Mincost.stats} vocabulary (flow value, total
     cost, iteration count) behind a Result so callers handle solver faults
     uniformly; {!caps} declares which parts of the contract a backend
-    actually honours, letting generic harnesses (differential tests, the
-    bench, schedulers) pick comparisons that are valid for that backend. *)
+    actually honours, letting generic harnesses (differential tests,
+    schedulers) pick comparisons that are valid for that backend. *)
 
 type caps = {
   min_cost : bool;
@@ -16,9 +16,6 @@ type caps = {
           excess drained back to the source may still have been deliverable
           along other source arcs — so it ignores the cap and this is
           [false]. *)
-  warm_start : bool;
-      (** [?warm] state (carried potentials + Dijkstra workspace) is
-          consumed and refilled; other backends ignore it. *)
 }
 
 module type S = sig
@@ -28,7 +25,6 @@ module type S = sig
   val caps : caps
 
   val solve :
-    ?warm:Mincost.warm ->
     ?deadline:Deadline.t ->
     ?max_flow:int ->
     Graph.t ->

@@ -4,7 +4,7 @@
    hands out dense integer ids; the *values* live in per-domain shards
    reached through [Domain.DLS], so the hot operations — [incr], [add],
    [observe_ns] — touch only domain-local arrays and take no lock. Reads
-   ([count], [counters], [histograms], [json]) merge every shard under the
+   ([count], [counters], [histograms]) merge every shard under the
    registry lock. A merge that races a concurrently running domain may
    miss its very latest in-flight updates (monitoring-grade snapshot), but
    updates are never lost: each one lands in exactly one shard, and any
@@ -214,38 +214,6 @@ let stats_of_hcell (cell : hcell) =
 
 let histogram_stats h = locked (fun () -> stats_of_hcell (merged_hcell h))
 
-(* GC accounting around a region of code: word/compaction deltas accumulate
-   into ordinary counters, so they ride along in [counters ()] and [json ()]
-   snapshots. Gc stats are per-domain in OCaml 5, so a delta taken on the
-   running domain is exact for that domain's allocations. Sampling
-   allocates a few boxed floats itself (minor_words returns a boxed float,
-   quick_stat a record); the closing reads happen before their own boxing,
-   so the only self-pollution in a delta is the opening sample's box — a
-   handful of words, visible as a small floor in per-call averages. *)
-type gc_scope = {
-  g_minor : counter;
-  g_major : counter;
-  g_compactions : counter;
-}
-
-let gc_scope prefix =
-  {
-    g_minor = counter (prefix ^ ".minor_words");
-    g_major = counter (prefix ^ ".major_words");
-    g_compactions = counter (prefix ^ ".compactions");
-  }
-
-let with_gc scope f =
-  let q0 = Gc.quick_stat () in
-  let mw0 = Gc.minor_words () in
-  let r = f () in
-  let mw1 = Gc.minor_words () in
-  let q1 = Gc.quick_stat () in
-  add scope.g_minor (int_of_float (mw1 -. mw0));
-  add scope.g_major (int_of_float (q1.Gc.major_words -. q0.Gc.major_words));
-  add scope.g_compactions (q1.Gc.compactions - q0.Gc.compactions);
-  r
-
 let by_name name_of l =
   List.sort (fun a b -> String.compare (name_of a) (name_of b)) l
 
@@ -308,54 +276,3 @@ let counters_since e =
           if d = 0 then acc else (c.c_name, d) :: acc)
         counters_tbl []
       |> by_name fst)
-
-(* Zeroing races updates from domains still running; call at quiescence
-   (between bench phases, after joins) for an exact reset. *)
-let reset () =
-  locked (fun () ->
-      List.iter
-        (fun s ->
-          Array.fill s.counts 0 (Array.length s.counts) 0;
-          Array.iter
-            (function
-              | None -> ()
-              | Some cell ->
-                  Array.fill cell.buckets 0 64 0;
-                  cell.samples <- 0;
-                  cell.sum_ns <- 0.;
-                  cell.max_ns <- 0.)
-            s.hists)
-        !shards)
-
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json () =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"counters\":{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (escape name) v))
-    (counters ());
-  Buffer.add_string buf "},\"histograms\":{";
-  List.iteri
-    (fun i (name, s) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\"%s\":{\"samples\":%d,\"sum_ns\":%.0f,\"mean_ns\":%.0f,\"p50_ns\":%.0f,\"p90_ns\":%.0f,\"p99_ns\":%.0f,\"p999_ns\":%.0f,\"max_ns\":%.0f}"
-           (escape name) s.samples s.sum_ns s.mean_ns s.p50_ns s.p90_ns s.p99_ns
-           s.p999_ns s.max_ns))
-    (histograms ());
-  Buffer.add_string buf "}}";
-  Buffer.contents buf

@@ -52,20 +52,6 @@ type histogram_stats = {
 
 val histogram_stats : histogram -> histogram_stats
 
-type gc_scope
-(** GC accounting for a region of code: allocation and compaction deltas
-    accumulated into the counters [<prefix>.minor_words],
-    [<prefix>.major_words] and [<prefix>.compactions], so they appear in
-    {!counters} and {!json} snapshots like any other series. *)
-
-val gc_scope : string -> gc_scope
-(** Get or create the three delta counters under [prefix]. *)
-
-val with_gc : gc_scope -> (unit -> 'a) -> 'a
-(** Run the thunk, adding its GC word/compaction deltas to the scope.
-    Sampling itself allocates a few words (the opening [Gc] reads box their
-    results), so per-call averages carry a small constant floor. *)
-
 val counters : unit -> (string * int) list
 (** All registered counters with their current values, sorted by name. *)
 
@@ -91,12 +77,3 @@ val count_since : epoch -> counter -> int
 val counters_since : epoch -> (string * int) list
 (** Every counter whose value changed since the epoch, with the delta,
     sorted by name. *)
-
-val reset : unit -> unit
-(** Zero every registered series in every shard (registrations are kept).
-    Call at quiescence — zeroing races updates from still-running
-    domains. *)
-
-val json : unit -> string
-(** JSON object [{"counters": {...}, "histograms": {...}}] of the current
-    snapshot, for machine-readable bench output. *)

@@ -687,30 +687,3 @@ let sweep ?(max_points = 8) (cfg : config) ~make_sched ~make_cluster ~workload =
     List.sort (fun (a, _) (b, _) -> compare a b) !points |> List.map snd
   in
   { base_rate = base; calibrated; points = pts }
-
-let point_json (p : point) =
-  Printf.sprintf
-    {|{"rate":%.2f,"arrivals":%d,"admitted":%d,"rejected":%d,"shed":%d,"placed":%d,"undeployed":%d,"failed_requests":%d,"removed":%d,"noop_removes":%d,"batches":%d,"failed_batches":%d,"overload_batches":%d,"mean_batch_fill":%.2f,"latency_ms":{"samples":%d,"p50":%.4f,"p99":%.4f,"p999":%.4f,"max":%.4f,"mean":%.4f},"queue_depth":{"max":%d,"mean":%.2f},"saturated":%b,"sim_s":%.4f,"wall_ms":%.1f}|}
-    p.rate p.arrivals p.admitted p.rejected p.shed p.placed p.undeployed
-    p.failed_requests p.removed p.noop_removes p.batches p.failed_batches
-    p.overload_batches p.mean_batch_fill p.samples p.p50_ms p.p99_ms
-    p.p999_ms p.max_ms p.mean_ms p.queue_depth_max p.queue_depth_mean
-    p.saturated p.sim_s p.wall_ms
-
-let sweep_json (cfg : config) r =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b
-    (Printf.sprintf
-       {|{"config":{"rate":%.2f,"duration_s":%.3f,"queue_bound":%d,"watermark":%d,"batch_size":%d,"batch_deadline_ms":%.3f,"overload_deadline_ms":%.1f,"service_ms":%.3f,"seed":%d,"modulation":"%s"},"base_rate":%.2f,"calibrated":%b,"points":[|}
-       cfg.rate cfg.duration cfg.queue_bound cfg.watermark cfg.batch_size
-       (cfg.batch_deadline *. 1e3)
-       cfg.overload_deadline_ms cfg.service_ms cfg.seed
-       (Arrivals.modulation_label cfg.modulation)
-       r.base_rate r.calibrated);
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (point_json p))
-    r.points;
-  Buffer.add_string b "]}";
-  Buffer.contents b

@@ -129,8 +129,3 @@ val sweep :
     [max_points] (default 8) runs, returned in increasing-rate order.
     Each point's latency histogram gets its own [serve.latency.<n>]
     series. *)
-
-val point_json : point -> string
-val sweep_json : config -> sweep_result -> string
-(** The bench's ["serve"] section: [{"config": {...}, "base_rate": ...,
-    "calibrated": ..., "points": [...]}]. *)

@@ -179,8 +179,8 @@ let random_nonneg_graph rng ~n ~max_cost =
 
 (* ---------- flow oracles ---------- *)
 
-let mincost_exn ?warm ?max_flow g ~src ~dst =
-  match Flownet.Mincost.run ?warm ?max_flow g ~src ~dst with
+let mincost_exn ?max_flow g ~src ~dst =
+  match Flownet.Mincost.run ?max_flow g ~src ~dst with
   | Ok s -> s
   | Error e -> Alcotest.failf "mincost error: %s" (Flownet.Error.to_string e)
 

@@ -2,9 +2,8 @@
    composite must reproduce the unsharded scheduler exactly at one cell,
    be deterministic (and identical between sequential and domain-parallel
    execution) at any cell count, stay audit-clean under adversarial
-   partitions and fault injection, and the sharded flow solve must equal
-   the global max flow for every registry backend. Also home to the Obs
-   multi-domain merge regressions, since this is the multicore suite. *)
+   partitions and fault injection. Also home to the Obs multi-domain
+   merge regressions, since this is the multicore suite. *)
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -134,47 +133,6 @@ let test_bounded_undeployed_delta () =
             Alcotest.failf
               "seed %d cells %d: %d undeployed vs %d unsharded (bound %d)"
               seed n_cells undep ref_undep bound)
-        cell_counts)
-    seeds
-
-(* ---------- sharded flow == global flow, per backend ---------- *)
-
-let test_sharded_flow_equals_global () =
-  List.iter
-    (fun seed ->
-      let w, n_machines, batches = case seed in
-      let cl = fresh w ~n_machines in
-      (* schedule a prefix so later solves see a partially-filled cluster *)
-      let sched = Aladdin.Aladdin_scheduler.make () in
-      (match batches with
-      | first :: _ -> ignore (sched.Scheduler.schedule cl first)
-      | [] -> ());
-      let batch = Array.concat (List.tl batches) in
-      List.iter
-        (fun n_cells ->
-          let comp =
-            Aladdin.Cells_scheduler.create ~cells:n_cells ~mode:`Sequential ()
-          in
-          let coord = Aladdin.Cells_scheduler.coordinator comp in
-          List.iter
-            (fun backend ->
-              let name = Flownet.Registry.name backend in
-              let fg = Aladdin.Flow_graph.build cl batch in
-              let g, src, dst = Aladdin.Flow_graph.scalar_projection fg in
-              let global = Gen.solve_exn backend g ~src ~dst in
-              let sharded =
-                match Aladdin.Cells_solver.solve ~backend coord cl batch with
-                | Ok r -> r
-                | Error e ->
-                    Alcotest.failf "cells solve failed: %s"
-                      (Aladdin.Aladdin_error.to_string e)
-              in
-              check int
-                (Printf.sprintf "seed %d cells %d %s: sharded flow = global"
-                   seed n_cells name)
-                global.Flownet.Mincost.flow
-                sharded.Aladdin.Cells_solver.total_flow)
-            (Gen.registered ()))
         cell_counts)
     seeds
 
@@ -354,39 +312,6 @@ let test_fault_rejects_first_batch_identically () =
     (Obs.count rejected);
   check bool "fault run: domains fingerprints = sequential" true (seq = dom)
 
-(* A solver-step fault tripping inside a per-cell solve must come back as
-   a typed [Error] from [Cells_solver.solve] — the old path [failwith]'d
-   through the worker pool, killing every domain instead of degrading. *)
-let test_cells_solver_fault_is_typed_error () =
-  let rng = Rng.create 33 in
-  let w = Gen.random_workload ~n_apps:6 rng in
-  let n_machines = Gen.machines_for w ~headroom:1.3 in
-  let cl = fresh w ~n_machines in
-  let comp = Aladdin.Cells_scheduler.create ~cells:4 ~mode:`Sequential () in
-  let coord = Aladdin.Cells_scheduler.coordinator comp in
-  let batch = w.Workload.containers in
-  let errors = Obs.counter "cells.solver.errors" in
-  let before = Obs.count errors in
-  Fault.install
-    (Fault.make ~solver_step_failure:1.0 ~solver_failure_budget:1 ~seed:7 ());
-  let r =
-    Fun.protect ~finally:Fault.clear (fun () ->
-        Aladdin.Cells_solver.solve coord cl batch)
-  in
-  (match r with
-  | Error (Aladdin.Aladdin_error.Injected_fault _) -> ()
-  | Error e ->
-      Alcotest.failf "expected Injected_fault, got %s"
-        (Aladdin.Aladdin_error.to_string e)
-  | Ok _ -> Alcotest.fail "fault did not trip");
-  check int "cells.solver.errors counted" (before + 1) (Obs.count errors);
-  (* harness cleared: the same solve must now run clean *)
-  match Aladdin.Cells_solver.solve coord cl batch with
-  | Ok _ -> ()
-  | Error e ->
-      Alcotest.failf "clean solve failed: %s"
-        (Aladdin.Aladdin_error.to_string e)
-
 (* An ambient step deadline expiring inside a cell solve must propagate
    out of the coordinator with the outer cluster untouched; the same batch
    then succeeds once the deadline is lifted. *)
@@ -473,11 +398,6 @@ let () =
           Alcotest.test_case "bounded undeployed delta" `Quick
             test_bounded_undeployed_delta;
         ] );
-      ( "solver",
-        [
-          Alcotest.test_case "sharded flow = global flow (all backends)"
-            `Quick test_sharded_flow_equals_global;
-        ] );
       ( "adversarial",
         [
           Alcotest.test_case "all but one cell offline" `Quick
@@ -491,8 +411,6 @@ let () =
         [
           Alcotest.test_case "fault rejects first batch, both modes" `Quick
             test_fault_rejects_first_batch_identically;
-          Alcotest.test_case "cells solver fault is a typed error" `Quick
-            test_cells_solver_fault_is_typed_error;
           Alcotest.test_case "deadline expiry leaves outer untouched" `Quick
             test_deadline_expiry_leaves_outer_untouched;
         ] );

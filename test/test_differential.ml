@@ -67,33 +67,6 @@ let test_mincost_differential () =
       bf_cost
   done
 
-(* ---------- warm-start differential ---------- *)
-
-(* A warm re-solve must produce the same (flow, cost) as a cold solve, and
-   must actually take the warm path (validated potentials, no SPFA). *)
-let test_mincost_warm_matches_cold () =
-  let rng = Rng.create 0xAB1E in
-  let hits = Obs.counter "mincost.warm_hits" in
-  for _case = 1 to 15 do
-    let n = 6 + Rng.int rng 20 in
-    let m = n * 3 in
-    let g, src, dst = random_dag rng ~n ~m ~max_cap:10 ~max_cost:50 in
-    let warm = Flownet.Mincost.warm_create () in
-    let cold = mincost_exn ~warm g ~src ~dst in
-    check bool "bootstrap potentials recorded" true
-      (warm.Flownet.Mincost.pot_n = Flownet.Graph.n_vertices g);
-    Flownet.Graph.reset_flows g;
-    check bool "bootstrap potentials valid after reset" true
-      (Flownet.Mincost.potential_valid g ~src warm.Flownet.Mincost.potential);
-    let before = Obs.count hits in
-    let rewarm = mincost_exn ~warm g ~src ~dst in
-    check int "warm path taken" (before + 1) (Obs.count hits);
-    check int "warm = cold (flow)" cold.Flownet.Mincost.flow
-      rewarm.Flownet.Mincost.flow;
-    check int "warm = cold (cost)" cold.Flownet.Mincost.cost
-      rewarm.Flownet.Mincost.cost
-  done
-
 (* ---------- registry differential ---------- *)
 
 let test_registry_lists_all_backends () =
@@ -260,8 +233,7 @@ let test_dial_overflow_migration () =
   check bool "at least one dial overflow exercised" true
     (Obs.count overflows > before)
 
-(* Near-max_int potentials: reduced costs stay small (the classic warm
-   scheduler regime), so Dial must serve the run without overflow even
+(* Near-max_int potentials: reduced costs stay small, so Dial must serve the run without overflow even
    though the absolute labels are enormous. *)
 let test_dial_large_potentials () =
   let rng = Rng.create 0xD1A3 in
@@ -277,7 +249,7 @@ let test_dial_large_potentials () =
   done
 
 (* Full solver differential with the bucket queue forced: min-cost results
-   must be queue-independent on random DAGs, warm restarts included. *)
+   must be queue-independent on random DAGs. *)
 let test_dial_mincost_differential () =
   let rng = Rng.create 0xD1A4 in
   for _case = 1 to 20 do
@@ -314,8 +286,6 @@ let () =
         [
           Alcotest.test_case "ssp = cost-scaling = bellman-ford oracle" `Quick
             test_mincost_differential;
-          Alcotest.test_case "warm restart matches cold" `Quick
-            test_mincost_warm_matches_cold;
         ] );
       ( "registry",
         [

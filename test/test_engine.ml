@@ -18,11 +18,12 @@ let int = Alcotest.int
 let workload =
   lazy (Alibaba.generate { (Alibaba.scaled 0.005) with Alibaba.seed = 42 })
 
-let replay_fp sched =
+let replay sched =
   let w = Lazy.force workload in
   let n_machines = Gen.machines_for w ~headroom:1.3 in
-  let r = Replay.run_workload ~batch:32 sched w ~n_machines in
-  Gen.placement_fingerprint r.Replay.cluster
+  (Replay.run_workload ~batch:32 sched w ~n_machines).Replay.cluster
+
+let replay_fp sched = Gen.placement_fingerprint (replay sched)
 
 let engine_fp spec =
   let b = Stack.build spec in
@@ -141,6 +142,42 @@ let test_backend_name_stack () =
              ())
       in
       check string "backend-name engine = hand" fp_hand (engine_fp spec)
+
+(* ---------- Firmament goldens ---------- *)
+
+(* Firmament is the one stack that runs a min-cost flow solve per batch.
+   Its engine-built and hand-built sides share that solve, so the
+   differential above cannot see a change in the flow a backend routes.
+   These seed-42 fingerprints and placed counts, one per registry
+   backend, were captured before the warm-start solve path was removed
+   and pin the cold solve. Dinic ignores costs, and its shortest hop path
+   runs through the unscheduled node, so it places nothing. *)
+let firmament_goldens =
+  [
+    ("mincost", 2665922339523803555, 499);
+    ("cost-scaling", 2905329433991188255, 498);
+    ("dinic", 0, 0);
+    ("push-relabel", 3726208040979323217, 473);
+  ]
+
+let test_firmament_goldens () =
+  List.iter
+    (fun (backend, fingerprint, placed) ->
+      let b =
+        Stack.build
+          { Stack.default with Stack.kind = Stack.Firmament;
+            cost_model = Cost_model.Quincy; reschd = 8;
+            solver = Some backend }
+      in
+      let cl = replay b.Stack.scheduler in
+      b.Stack.shutdown ();
+      check int (Printf.sprintf "firmament/%s placed" backend) placed
+        (Cluster.n_placed cl);
+      check int
+        (Printf.sprintf "firmament/%s fingerprint" backend)
+        fingerprint
+        (Journal.placement_fingerprint (Cluster.placements cl)))
+    firmament_goldens
 
 (* ---------- parser vocabulary ---------- *)
 
@@ -278,5 +315,7 @@ let () =
             (test_differential "cost-scaling");
           Alcotest.test_case "backend-name stack" `Slow
             test_backend_name_stack;
+          Alcotest.test_case "firmament goldens" `Slow
+            test_firmament_goldens;
         ] );
     ]

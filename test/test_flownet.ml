@@ -19,8 +19,8 @@ let sp_exn ?admit g ~src ~dst =
   | Ok p -> p
   | Error e -> Alcotest.failf "spfa error: %s" (Flownet.Error.to_string e)
 
-let mincost_exn ?warm ?max_flow g ~src ~dst =
-  match Flownet.Mincost.run ?warm ?max_flow g ~src ~dst with
+let mincost_exn ?max_flow g ~src ~dst =
+  match Flownet.Mincost.run ?max_flow g ~src ~dst with
   | Ok s -> s
   | Error e -> Alcotest.failf "mincost error: %s" (Flownet.Error.to_string e)
 
@@ -466,35 +466,6 @@ let prop_mincut_equals_maxflow =
       if cut.(fst spec - 1) then f > 0 || cut_capacity g cut >= f
       else cut_capacity g cut = f)
 
-(* ---------- mdim ---------- *)
-
-let test_mdim_ops () =
-  let a = [| 3; 4 |] and b = [| 1; 2 |] in
-  Alcotest.(check (array int)) "add" [| 4; 6 |] (Flownet.Mdim.add a b);
-  Alcotest.(check (array int)) "sub" [| 2; 2 |] (Flownet.Mdim.sub a b);
-  check bool "leq" true (Flownet.Mdim.leq b a);
-  check bool "not leq" false (Flownet.Mdim.leq a b);
-  Alcotest.(check (array int)) "clamped" [| 0; 0 |]
-    (Flownet.Mdim.sub_clamped b a);
-  Alcotest.check_raises "sub negative"
-    (Invalid_argument "Mdim.sub: negative result") (fun () ->
-      ignore (Flownet.Mdim.sub b a));
-  Alcotest.check_raises "dim mismatch"
-    (Invalid_argument "Mdim.add: dimension mismatch") (fun () ->
-      ignore (Flownet.Mdim.add a [| 1 |]))
-
-let test_mdim_nonlinear () =
-  let cap = Flownet.Mdim.nonlinear [| 10; 10 |] ~admit:(fun s -> s mod 2 = 0) in
-  check bool "admitted subject fits" true
-    (Flownet.Mdim.fits cap ~subject:2 ~demand:[| 5; 5 |]);
-  check bool "rejected subject fails" false
-    (Flownet.Mdim.fits cap ~subject:3 ~demand:[| 5; 5 |]);
-  check bool "oversized fails" false
-    (Flownet.Mdim.fits cap ~subject:2 ~demand:[| 11; 5 |]);
-  let cap' = Flownet.Mdim.consume cap [| 4; 4 |] in
-  check bool "consumed capacity shrinks" false
-    (Flownet.Mdim.fits cap' ~subject:2 ~demand:[| 7; 7 |])
-
 (* ---------- path ---------- *)
 
 let test_path_ops () =
@@ -571,11 +542,6 @@ let () =
             test_cost_scaling_simple;
           Alcotest.test_case "cost-scaling negative arc" `Quick
             test_cost_scaling_negative_arc;
-        ] );
-      ( "mdim",
-        [
-          Alcotest.test_case "vector ops" `Quick test_mdim_ops;
-          Alcotest.test_case "nonlinear capacity" `Quick test_mdim_nonlinear;
         ] );
       ("path", [ Alcotest.test_case "ops" `Quick test_path_ops ]);
       ("properties", qtests);

@@ -9,7 +9,6 @@ let bool = Alcotest.bool
 
 (* Workload sizing, batch splitting and fingerprint helpers come from the
    shared [Gen] module. *)
-let mincost_exn = Gen.mincost_exn
 let fresh_cluster = Gen.fresh_cluster
 let machines_for = Gen.machines_for
 let waves = Gen.waves
@@ -58,57 +57,6 @@ let test_warm_equals_cold_all_orders () =
         check bool (abbrev ^ ": replay ran batches") true (!batch_no >= 2)
       end)
     Arrival.all
-
-(* ---------- equivalence: incremental projection == fresh projection ---------- *)
-
-(* Across an evolving cluster, the cached arena's max flow and min cost must
-   equal the from-scratch projection's, and the warm min-cost solve must
-   equal a cold solve on the same arena. *)
-let test_incremental_projection_equals_fresh () =
-  let params = { (Alibaba.scaled 0.003) with Alibaba.seed = 11 } in
-  let w = Alibaba.generate params in
-  let n_machines = machines_for w ~headroom:1.3 in
-  let cl = fresh_cluster w ~n_machines in
-  let sched = Aladdin.Aladdin_scheduler.make () in
-  let cache =
-    Aladdin.Flow_graph.projection_cache
-      ~machine_cost:(fun m -> 1 + (Machine.id m * 13 mod 97))
-      ()
-  in
-  let warm = Aladdin.Flow_graph.projection_warm cache in
-  let batch_no = ref 0 in
-  List.iter
-    (fun wave ->
-      incr batch_no;
-      let fg = Aladdin.Flow_graph.build cl wave in
-      let g_fresh, s_fresh, t_fresh = Aladdin.Flow_graph.scalar_projection fg in
-      let fresh_flow = Flownet.Dinic.run g_fresh ~src:s_fresh ~dst:t_fresh in
-      let g, src, dst =
-        Aladdin.Flow_graph.scalar_projection_incremental cache fg
-      in
-      let cold = mincost_exn g ~src ~dst in
-      Flownet.Graph.reset_flows g;
-      let rewarm = mincost_exn ~warm g ~src ~dst in
-      let ctx what = Printf.sprintf "batch %d: %s" !batch_no what in
-      check int (ctx "incremental flow = fresh flow") fresh_flow
-        cold.Flownet.Mincost.flow;
-      check int (ctx "warm flow = cold flow") cold.Flownet.Mincost.flow
-        rewarm.Flownet.Mincost.flow;
-      check int (ctx "warm cost = cold cost") cold.Flownet.Mincost.cost
-        rewarm.Flownet.Mincost.cost;
-      let delta = Aladdin.Flow_graph.projection_delta cache in
-      if !batch_no = 1 then
-        check bool (ctx "first batch rebuilds") true
-          delta.Aladdin.Flow_graph.rebuilt
-      else begin
-        check bool (ctx "later batches reuse the arena") false
-          delta.Aladdin.Flow_graph.rebuilt;
-        check bool (ctx "fixed arcs reused") true
-          (delta.Aladdin.Flow_graph.arcs_reused > 0)
-      end;
-      (* evolve the cluster so the next batch sees changed free vectors *)
-      ignore (sched.Scheduler.schedule cl wave))
-    (waves w.Workload.containers ~n_batches:20)
 
 (* ---------- property: placements never violate constraints ---------- *)
 
@@ -186,8 +134,6 @@ let () =
         [
           Alcotest.test_case "warm scheduler = from-scratch (CHP/CLP/CLA/CSA)"
             `Quick test_warm_equals_cold_all_orders;
-          Alcotest.test_case "incremental projection = fresh projection"
-            `Quick test_incremental_projection_equals_fresh;
           Alcotest.test_case "search refresh = fresh create" `Quick
             test_refresh_matches_create_stats;
         ] );

@@ -1,5 +1,5 @@
 (* Robustness-layer tests: cooperative deadlines in the solver hot loops,
-   the degradation ladder (registry- and scheduler-level, with
+   the scheduler-level degradation ladder (with
    priority-ordered shedding), the post-batch invariant auditor, the
    crash-recovery journal, and the revocation edge cases in the fault
    harness and transaction middleware. *)
@@ -177,33 +177,6 @@ let test_solve_completes_under_roomy_deadline () =
       check int "flow" 5 s.Flownet.Mincost.flow;
       check int "cost" 15 s.Flownet.Mincost.cost
   | Error e -> Alcotest.fail (Flownet.Error.to_string e)
-
-(* ---------- registry solve_ladder ---------- *)
-
-let test_solve_ladder_escalates () =
-  let g = line_net () in
-  let c_esc = Obs.counter "ladder.escalations" in
-  let c_dinic = Obs.counter "ladder.rung.dinic" in
-  let e0 = Obs.count c_esc and d0 = Obs.count c_dinic in
-  let r, rung =
-    Flownet.Registry.solve_ladder
-      ~rungs:[ "mincost"; "dinic" ]
-      ~deadline_ms:1e-6 g ~src:0 ~dst:3
-  in
-  check Alcotest.string "terminal rung wins" "dinic" rung;
-  (match r with
-  | Ok s -> check int "terminal rung unbounded, full flow" 5 s.Flownet.Mincost.flow
-  | Error e -> Alcotest.fail (Flownet.Error.to_string e));
-  check int "one escalation" (e0 + 1) (Obs.count c_esc);
-  check int "winning rung counted" (d0 + 1) (Obs.count c_dinic)
-
-let test_solve_ladder_first_rung_without_deadline () =
-  let g = line_net () in
-  let r, rung =
-    Flownet.Registry.solve_ladder ~rungs:[ "mincost"; "dinic" ] g ~src:0 ~dst:3
-  in
-  check Alcotest.string "no budget, first rung wins" "mincost" rung;
-  check bool "solved" true (match r with Ok _ -> true | Error _ -> false)
 
 (* ---------- scheduler ladder middleware ---------- *)
 
@@ -790,10 +763,6 @@ let () =
         ] );
       ( "ladder",
         [
-          Alcotest.test_case "registry ladder escalates" `Quick
-            test_solve_ladder_escalates;
-          Alcotest.test_case "registry ladder unbudgeted" `Quick
-            test_solve_ladder_first_rung_without_deadline;
           Alcotest.test_case "escalates and restores" `Quick
             test_with_deadline_escalates_and_restores;
           Alcotest.test_case "unbudgeted first rung wins" `Quick

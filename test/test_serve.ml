@@ -221,13 +221,7 @@ let test_sweep_reaches_saturation () =
      in
      mono r.points);
   let last = List.nth r.points (List.length r.points - 1) in
-  check bool "sweep ends saturated" true last.saturated;
-  (* the JSON emitters produce something structurally sane *)
-  let json = Serve.Runner.sweep_json cfg r in
-  check bool "json has points" true
-    (String.length json > 64
-    && String.sub json 0 1 = "{"
-    && String.sub json (String.length json - 2) 2 = "]}")
+  check bool "sweep ends saturated" true last.saturated
 
 (* ---------- crash-consistent resume ---------- *)
 
