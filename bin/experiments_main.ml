@@ -29,14 +29,11 @@ let run_one cfg id =
 (* Open-loop serving sweep over the experiment workload, through the
    configured stack (ROADMAP item 3: the serving path is no longer
    bench-only). *)
-let run_serve cfg spec data_dir =
+let run_serve cfg spec (sv : Engine.Stack.serve) data_dir =
   let w = Exp_config.workload cfg in
   Format.printf "== Serving sweep: %s over %d machines ==@."
-    (Engine.Stack.label spec) cfg.Exp_config.machines;
-  let r =
-    Engine.Stack.serve_sweep ~n_machines:cfg.Exp_config.machines spec
-      ~workload:w
-  in
+    (Engine.Stack.label spec) sv.Engine.Stack.serve_machines;
+  let r = Engine.Stack.serve_sweep spec ~workload:w in
   if r.Serve.Runner.calibrated then
     Format.printf "calibrated base rate: %.1f req/s@." r.Serve.Runner.base_rate;
   List.iter
@@ -206,8 +203,8 @@ let main ids scale seed data_dir sched solver dijkstra cells cells_mode
   | None -> ());
   List.iter (run_one cfg) ids;
   match stack with
-  | Some spec when spec.Engine.Stack.serve <> None ->
-      run_serve cfg spec data_dir
+  | Some ({ Engine.Stack.serve = Some sv; _ } as spec) ->
+      run_serve cfg spec sv data_dir
   | _ -> ()
 
 let cmd =

@@ -15,25 +15,27 @@
 
    Consistency: each mirror is a pure function of the outer cluster.
    [Cluster.version] detects out-of-band outer mutations (revocations,
-   audit repairs, transactional restores above us) and triggers a mirror
-   rebuild; replay failures raise [Desync], which unwinds the outer
-   cluster via an O(mutations) undo log, rebuilds, and retries the batch
-   once. With one cell the coordinator degenerates to the inner scheduler
-   on a full-cluster mirror — placements are then bit-for-bit those of
-   the unsharded scheduler (the differential suite's anchor case).
+   audit repairs, transactional rollbacks above us) and triggers a mirror
+   rebuild; replay failures raise [Desync], which rolls the outer cluster
+   back to phase 2's [Cluster.mark] in O(mutations), rebuilds, and
+   retries the batch once. With one cell the coordinator degenerates to
+   the inner scheduler on a full-cluster mirror — placements are then
+   bit-for-bit those of the unsharded scheduler (the differential
+   suite's anchor case).
 
    Supervision (optional): with a [Supervisor.t] attached, cells become
    real fault domains. Phase 1 stops being all-or-nothing — a cell whose
    task fails with a recoverable error is retried in isolation (bounded,
    with jittered exponential backoff, on a freshly rebuilt mirror), a
    cell that hangs past the join timeout is abandoned (the pool is
-   replaced; the straggler domain finishes into a discarded mirror), and
-   a cell that ultimately fails only costs its own sub-batch, which rides
-   the phase-2 fix-up (or goes undeployed). The supervisor's circuit
-   breaker quarantines a cell after repeated failures: its machines are
-   redistributed to neighbouring cells via [Partition.reslice], and after
-   a cooldown the cell rejoins half-open — the next batch it is assigned
-   is the probe that reinstates it or re-opens the breaker. *)
+   retired and replaced; the straggler domain finishes into a discarded
+   mirror and then exits), and a cell that ultimately fails only costs
+   its own sub-batch, which rides the phase-2 fix-up (or goes
+   undeployed). The supervisor's circuit breaker quarantines a cell
+   after repeated failures: its machines are redistributed to
+   neighbouring cells via [Partition.reslice], and after a cooldown the
+   cell rejoins half-open — the next batch it is assigned is the probe
+   that reinstates it or re-opens the breaker. *)
 
 exception Desync of string
 
@@ -83,6 +85,8 @@ type t = {
   recoverable : exn -> bool;
   supervisor : Supervisor.t option;
   mutable pool : Pool.t option;
+  mutable retired : Pool.t list;
+      (** abandoned pools, stopped but not joined until {!shutdown} *)
   mutable bound : bind option;
 }
 
@@ -107,36 +111,49 @@ let create ?(mode = `Auto) ?(fixup = true) ?fixup_run ?supervisor ~recoverable
     recoverable;
     supervisor;
     pool = None;
+    retired = [];
     bound = None;
   }
 
 let supervisor t = t.supervisor
 
+(* An abandoned pool (timed-out or interrupted join) is retired: its
+   idle workers exit now and its straggler when its finite stall ends, so
+   abandoned pools never accumulate live domains. {!shutdown} joins them. *)
+let retire_pool t =
+  Option.iter
+    (fun p ->
+      Pool.retire p;
+      t.retired <- p :: t.retired)
+    t.pool;
+  t.pool <- None
+
 (* Supervised pools put a worker on EVERY cell (not n-1): the caller must
    stay free to time the join out instead of draining — a hung task
-   picked up by the caller could never be abandoned. An abandoned pool
-   (timed-out join) is dropped here and replaced; its straggler domain is
-   joined by the at_exit shutdown once its finite stall ends. *)
+   picked up by the caller could never be abandoned. *)
 let pool_for t n_cells =
-  let stale = match t.pool with Some p -> Pool.abandoned p | None -> true in
-  if not stale then Option.get t.pool
-  else begin
-    let supervised = t.supervisor <> None in
-    let workers =
-      match t.mode with
-      | `Sequential -> 0
-      | `Domains -> if supervised then n_cells else n_cells - 1
-      | `Auto ->
-          let rdc = Domain.recommended_domain_count () in
-          if supervised then min n_cells (max 1 (rdc - 1))
-          else min (n_cells - 1) (rdc - 1)
-    in
-    let p = Pool.create ~workers:(max 0 workers) in
-    t.pool <- Some p;
-    p
-  end
+  match t.pool with
+  | Some p when not (Pool.abandoned p) -> p
+  | _ ->
+      retire_pool t;
+      let supervised = t.supervisor <> None in
+      let workers =
+        match t.mode with
+        | `Sequential -> 0
+        | `Domains -> if supervised then n_cells else n_cells - 1
+        | `Auto ->
+            let rdc = Domain.recommended_domain_count () in
+            if supervised then min n_cells (max 1 (rdc - 1))
+            else min (n_cells - 1) (rdc - 1)
+      in
+      let p = Pool.create ~workers:(max 0 workers) in
+      t.pool <- Some p;
+      p
 
-let shutdown t = Option.iter Pool.shutdown t.pool
+let shutdown t =
+  Option.iter Pool.shutdown t.pool;
+  List.iter Pool.shutdown t.retired;
+  t.retired <- []
 
 let cpu_of (c : Container.t) =
   max 1 (Resource.get c.Container.demand Resource.cpu_dim)
@@ -337,32 +354,17 @@ let assign b batch =
     Array.map Array.of_list buckets
   end
 
-type undo_op = Unplace of Container.id | Replace of Container.t * int
-
-let run_undo outer undo =
-  (* [undo] is head-newest, i.e. already LIFO. Failures while unwinding
-     are swallowed — the bind is marked dirty and rebuilt regardless. *)
-  List.iter
-    (fun op ->
-      match op with
-      | Unplace cid -> ( try Cluster.remove outer cid with _ -> ())
-      | Replace (c, g) -> (
-          try ignore (Cluster.place ~force:true outer c g) with _ -> ()))
-    undo
-
 (* Replay one cell's mirror events onto the outer cluster. The mirror and
    outer agreed before the batch, so every event must apply cleanly; a
    refusal means they diverged — Desync, unwind, rebuild, retry. *)
-let apply_cell_events b undo cs evs =
+let apply_cell_events b cs evs =
   List.iter
     (fun ev ->
       match ev with
       | Cluster.Placed (c, local, forced) -> (
           let g = cs.lo + local in
           match Cluster.place ~force:forced b.outer c g with
-          | Ok () ->
-              undo := Unplace c.Container.id :: !undo;
-              b.free_cpu.(cs.idx) <- b.free_cpu.(cs.idx) - cpu_of c
+          | Ok () -> b.free_cpu.(cs.idx) <- b.free_cpu.(cs.idx) - cpu_of c
           | Error _ -> raise (Desync "outer rejected mirrored placement")
           | exception Invalid_argument _ ->
               raise (Desync "container already placed on outer"))
@@ -371,7 +373,6 @@ let apply_cell_events b undo cs evs =
           match Cluster.machine_of b.outer c.Container.id with
           | Some g' when g' = g ->
               Cluster.remove b.outer c.Container.id;
-              undo := Replace (c, g) :: !undo;
               b.free_cpu.(cs.idx) <- b.free_cpu.(cs.idx) + cpu_of c
           | _ -> raise (Desync "outer missing mirrored removal")))
     evs
@@ -458,7 +459,7 @@ let phase1_supervised t b sup subs active ambient =
       match Pool.run_within pool ~timeout_s:(timeout_ms /. 1e3) tasks with
       | `Done rs -> Array.map Option.some rs
       | `Timed_out partial ->
-          t.pool <- None;
+          retire_pool t;
           partial
   in
   let max_retries = (Supervisor.config sup).Supervisor.max_retries in
@@ -542,57 +543,53 @@ let attempt t outer batch =
           [] )
   in
   let failed_subs = List.map (fun ci -> subs.(ci)) failed_cells in
-  let undo = ref [] in
   let fixup_out = ref None in
   let fixup_ms = ref 0. in
   let fixup_n = ref 0 in
   let t_apply0 = Obs.now_ns () in
   let fixup_path = n > 1 && t.fixup_enabled && t.fixup_run <> None in
-  (try
-     Array.iter
-       (fun (ci, _, evs, _) -> apply_cell_events b undo b.cells.(ci) evs)
-       results;
-     let leftovers =
-       if fixup_path then
-         Array.concat
-           (List.concat_map
-              (fun (_, o, _, _) ->
-                [ Array.of_list o.Scheduler.undeployed ])
-              (Array.to_list results)
-           @ failed_subs)
-       else [||]
-     in
-     fixup_n := Array.length leftovers;
-     if Array.length leftovers > 0 then begin
-       let run = Option.get t.fixup_run in
-       let events = ref [] in
-       (* The tracer feeds the undo log directly, so a fix-up scheduler
-          dying mid-flight still unwinds completely. *)
-       Cluster.set_tracer b.outer
-         (Some
-            (fun ev ->
-              events := ev :: !events;
-              match ev with
-              | Cluster.Placed (c, _, _) ->
-                  undo := Unplace c.Container.id :: !undo
-              | Cluster.Removed (c, g) -> undo := Replace (c, g) :: !undo));
-       let t0 = Obs.now_ns () in
-       let fo =
-         Fun.protect
-           ~finally:(fun () -> Cluster.set_tracer b.outer None)
-           (fun () -> run b.outer leftovers)
-       in
-       let dt = Int64.sub (Obs.now_ns ()) t0 in
-       Obs.observe_ns h_fixup dt;
-       fixup_ms := Int64.to_float dt /. 1e6;
-       mirror_outer_events b (List.rev !events);
-       Obs.add c_fixup_placed (List.length fo.Scheduler.placed);
-       fixup_out := Some fo
-     end
-   with e ->
-     run_undo b.outer !undo;
-     b.dirty <- true;
-     raise e);
+  (* Phase 2 runs under a mark on the outer cluster: any failure rolls
+     back exactly what apply and fix-up did to it. *)
+  let m = Cluster.mark outer in
+  Fun.protect
+    ~finally:(fun () -> Cluster.release outer m)
+    (fun () ->
+      try
+        Array.iter
+          (fun (ci, _, evs, _) -> apply_cell_events b b.cells.(ci) evs)
+          results;
+        let leftovers =
+          if fixup_path then
+            Array.concat
+              (List.concat_map
+                 (fun (_, o, _, _) ->
+                   [ Array.of_list o.Scheduler.undeployed ])
+                 (Array.to_list results)
+              @ failed_subs)
+          else [||]
+        in
+        fixup_n := Array.length leftovers;
+        if Array.length leftovers > 0 then begin
+          let run = Option.get t.fixup_run in
+          let events = ref [] in
+          Cluster.set_tracer b.outer (Some (fun ev -> events := ev :: !events));
+          let t0 = Obs.now_ns () in
+          let fo =
+            Fun.protect
+              ~finally:(fun () -> Cluster.set_tracer b.outer None)
+              (fun () -> run b.outer leftovers)
+          in
+          let dt = Int64.sub (Obs.now_ns ()) t0 in
+          Obs.observe_ns h_fixup dt;
+          fixup_ms := Int64.to_float dt /. 1e6;
+          mirror_outer_events b (List.rev !events);
+          Obs.add c_fixup_placed (List.length fo.Scheduler.placed);
+          fixup_out := Some fo
+        end
+      with e ->
+        Cluster.rollback outer m ~on_drop:ignore;
+        b.dirty <- true;
+        raise e);
   b.expected_version <- Cluster.version outer;
   Obs.add c_active (Array.length active);
   Obs.add c_fixup_containers !fixup_n;
@@ -669,7 +666,7 @@ let schedule t outer batch =
   | Desync _ ->
       Obs.incr c_desyncs;
       Option.iter (fun b -> b.dirty <- true) t.bound;
-      (* The undo log already unwound the outer cluster; rebuild mirrors
+      (* Phase 2 already rolled the outer cluster back; rebuild mirrors
          and retry the whole batch — once unsupervised, up to the
          supervisor's retry budget (with backoff) otherwise. *)
       let rec again k =

@@ -80,7 +80,8 @@ val scheduler : t -> name:string -> Scheduler.t
     middleware stack. *)
 
 val shutdown : t -> unit
-(** Stop the worker-domain pool (idempotent; also hooked on [at_exit]). *)
+(** Stop and join the worker-domain pool and every pool retired after a
+    join timeout (idempotent; also hooked on [at_exit]). *)
 
 val n_cells : t -> int
 (** Effective cell count: the partition's once bound, else the request. *)

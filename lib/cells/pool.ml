@@ -19,10 +19,12 @@
 
    Domains cannot be killed, so "abandoning" a hung job means marking the
    pool unusable ([abandoned]) and leaving the stuck domain to finish on
-   its own time; the supervisor above us discards the pool and builds a
-   fresh one. [shutdown] still joins — the injected stalls this exists
-   for are finite, and a genuinely infinite task would otherwise turn
-   process exit into a hang with no diagnostic. *)
+   its own time; the supervisor above us retires the pool and builds a
+   fresh one. [retire] stops the pool without joining: idle workers exit
+   at once, the straggler when its task returns, and no retired worker
+   starts another task. [shutdown] still joins — the injected stalls this
+   exists for are finite, and a genuinely infinite task would otherwise
+   turn process exit into a hang with no diagnostic. *)
 
 type t = {
   lock : Mutex.t;
@@ -43,7 +45,7 @@ type t = {
 let drain t =
   let continue_ = ref true in
   while !continue_ do
-    if t.next < Array.length t.tasks then begin
+    if (not t.stop) && t.next < Array.length t.tasks then begin
       let i = t.next in
       t.next <- i + 1;
       let task = t.tasks.(i) in
@@ -77,6 +79,12 @@ let worker t () =
     end
   done;
   Mutex.unlock t.lock
+
+let retire t =
+  Mutex.protect t.lock (fun () ->
+      t.abandoned <- true;
+      t.stop <- true;
+      Condition.broadcast t.work)
 
 let shutdown t =
   let ds =

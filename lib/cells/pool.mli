@@ -10,9 +10,9 @@
     and a job that fails to join within the timeout is abandoned — the
     finished results are harvested, the pool is poisoned ({!abandoned}),
     and the stuck domain is left to finish on its own time (domains
-    cannot be killed). A supervisor replaces an abandoned pool with a
-    fresh one; {!shutdown} still joins, so process exit waits for finite
-    stalls rather than silently leaking a running domain. *)
+    cannot be killed). A supervisor {!retire}s an abandoned pool and
+    builds a fresh one; {!shutdown} still joins, so process exit waits
+    for finite stalls rather than silently leaking a running domain. *)
 
 type t
 
@@ -49,6 +49,13 @@ val run_within :
     {!abandoned}. With [workers = 0] there is nothing to time out
     against: tasks run inline and the result is always [`Done].
     @raise Invalid_argument on a busy or abandoned pool. *)
+
+val retire : t -> unit
+(** Stop the workers without waiting for them: parked ones exit at once,
+    a busy one when its current task returns, and none starts another
+    task. For an {!abandoned} pool whose straggler must not block the
+    caller; the pool stays abandoned, and a later {!shutdown} joins the
+    workers. Idempotent. *)
 
 val shutdown : t -> unit
 (** Stop and join the workers; idempotent. Blocks until any straggling

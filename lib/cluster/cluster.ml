@@ -13,12 +13,20 @@ type t = {
   offline : bool array;
   (* Every mutation bumps [version], so a mirror (a cells coordinator's
      per-cell copy) can detect out-of-band changes — a revocation, an
-     audit repair, a transactional restore — with one integer compare
+     audit repair, a transactional rollback — with one integer compare
      instead of a full diff. The optional tracer sees each mutation as it
      happens; mirrors replay the events instead of re-deriving state. *)
   mutable version : int;
   mutable tracer : (event -> unit) option;
+  (* Mutation log, newest first: every event while a mark is open, so a
+     transaction undoes its own mutations instead of copying the whole
+     placement map up front. Empty whenever no mark is open. *)
+  mutable log : event list;
+  mutable log_len : int;
+  mutable open_marks : int;
 }
+
+type mark = int
 
 let create topology ~constraints =
   let n = Topology.n_machines topology in
@@ -35,6 +43,9 @@ let create topology ~constraints =
     offline = Array.make n false;
     version = 0;
     tracer = None;
+    log = [];
+    log_len = 0;
+    open_marks = 0;
   }
 
 let topology t = t.topology
@@ -43,6 +54,10 @@ let set_tracer t tr = t.tracer <- tr
 
 let emit t ev =
   t.version <- t.version + 1;
+  if t.open_marks > 0 then begin
+    t.log <- ev :: t.log;
+    t.log_len <- t.log_len + 1
+  end;
   match t.tracer with None -> () | Some f -> f ev
 
 let constraints t = t.constraints
@@ -161,3 +176,67 @@ let blacklist t = t.blacklist
 let reset t =
   let ids = Hashtbl.fold (fun cid _ acc -> cid :: acc) t.placed [] in
   List.iter (remove t) ids
+
+let mark t =
+  t.open_marks <- t.open_marks + 1;
+  t.log_len
+
+let check_mark fn t m =
+  if t.open_marks = 0 || m < 0 || m > t.log_len then
+    invalid_arg ("Cluster." ^ fn ^ ": mark is not open")
+
+let log_length t = t.log_len
+
+let release t m =
+  check_mark "release" t m;
+  t.open_marks <- t.open_marks - 1;
+  if t.open_marks = 0 then begin
+    t.log <- [];
+    t.log_len <- 0
+  end
+
+(* Undo newest first. The undo is not itself undoable: the log is cut
+   back to the mark afterwards, dropping whatever the undo appended. A
+   re-place can fail only on a machine that went offline since; that
+   drop is provisional until the walk reaches the container's oldest
+   event, because undoing an earlier [Placed] of the same container shows
+   it was not placed at the mark after all. A final drop is logged as a
+   removal above the mark (not traced: the tracer never saw the failed
+   re-place), so rolling back again to this mark or to an enclosing one
+   retries it: every rollback puts back all the mark's placements whose
+   machines are online. *)
+let rollback t m ~on_drop =
+  check_mark "rollback" t m;
+  let dropped = ref [] in
+  let undo = function
+    | Placed (c, _, _) ->
+        let cid = c.Container.id in
+        if Hashtbl.mem t.placed cid then remove t cid
+        else
+          dropped :=
+            List.filter
+              (function Removed (d, _) -> d.Container.id <> cid | _ -> true)
+              !dropped
+    | Removed (c, mid) as ev -> (
+        match place ~force:true t c mid with
+        | Ok () -> ()
+        | Error _ -> dropped := ev :: !dropped)
+  in
+  let rec walk n log =
+    if n = 0 then log
+    else
+      match log with
+      | ev :: rest ->
+          undo ev;
+          walk (n - 1) rest
+      | [] -> assert false
+  in
+  let kept = walk (t.log_len - m) t.log in
+  t.log <- kept;
+  t.log_len <- m;
+  List.iter
+    (fun ev ->
+      t.log <- ev :: t.log;
+      t.log_len <- t.log_len + 1;
+      on_drop ())
+    (List.rev !dropped)

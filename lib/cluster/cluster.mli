@@ -75,3 +75,39 @@ val current_violations : t -> Violation.t list
 val blacklist : t -> Blacklist.t
 val reset : t -> unit
 (** Remove every placement. *)
+
+(** {2 Marks}
+
+    A mark opens a transaction over the placement state. While any mark is
+    open, every {!place} and {!remove} is appended to one mutation log;
+    {!rollback} undoes the log back to a mark, so undoing a batch costs
+    O(its mutations), not O(cluster). Marks nest (a ladder's mark encloses
+    each rung's): each {!mark} is closed by exactly one {!release}, newest
+    first, and rolling back to an outer mark also undoes everything logged
+    under the inner ones. With no mark open nothing is logged, and the log
+    is dropped when the last mark is released. {!set_offline} is not
+    logged: a rollback leaves machines offline. *)
+
+type mark
+
+val mark : t -> mark
+(** Open a mark at the current end of the log. *)
+
+val rollback : t -> mark -> on_drop:(unit -> unit) -> unit
+(** Undo, newest first, every placement and removal logged since the mark,
+    which stays open (a later rollback to it is allowed). The undo itself
+    is not logged, but it bumps {!version} and reaches the tracer like any
+    mutation. A removed container is re-placed where it was with
+    [~force:true]; where that fails (its machine went offline since the
+    mark) it stays unplaced and [on_drop] is called once for it. Each
+    machine's containers are restored as a set: their iteration order may
+    differ from the one at the mark.
+    @raise Invalid_argument when the mark is not open. *)
+
+val log_length : t -> int
+(** Mutations in the log: 0 whenever no mark is open. *)
+
+val release : t -> mark -> unit
+(** Close the mark, keeping every mutation since it. Releasing the last
+    open mark empties the log.
+    @raise Invalid_argument when no mark is open. *)

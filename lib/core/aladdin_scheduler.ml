@@ -221,7 +221,7 @@ let recoverable = function
   | Aladdin_error.E _ -> true
   | e -> Scheduler.faults_recoverable e
 
-(* Snapshot/restore, fallback-to-cold, rejection and batch obs all come
+(* Mark/rollback, fallback-to-cold, rejection and batch obs all come
    from the scheduler middleware; this layer only decides what a "cold
    retry" means (drop the warm state, rerun without it). *)
 let stack ?fallback name schedule =

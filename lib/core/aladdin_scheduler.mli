@@ -5,12 +5,13 @@
     Aladdin never tolerates a constraint violation: a container is either
     placed on a machine that fully admits it, or reported undeployed.
 
-    Batches are transactional: pre-batch placements are snapshotted, and a
-    recoverable mid-batch failure ({!Aladdin_error.E} or {!Fault.Injected})
-    restores them. A warm scheduler then invalidates its carried state and
-    retries the batch cold ([aladdin.fallback_to_cold]); if even the cold
-    attempt fails, the whole batch is reported undeployed
-    ([aladdin.rejected_batches]) and the process keeps running. *)
+    Batches are transactional: a {!Cluster.mark} is opened before each
+    batch, and a recoverable mid-batch failure ({!Aladdin_error.E} or
+    {!Fault.Injected}) rolls the cluster back to it. A warm scheduler
+    then invalidates its carried state and retries the batch cold
+    ([aladdin.fallback_to_cold]); if even the cold attempt fails, the
+    whole batch is reported undeployed ([aladdin.rejected_batches]) and
+    the process keeps running. *)
 
 type options = {
   il : bool;  (** isomorphism limiting (§IV.A) *)

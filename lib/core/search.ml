@@ -269,23 +269,29 @@ let find_machine t (c : Container.t) =
       end
     in
     (* Tier 1: active machines, parking the ones that can no longer host
-       anything from this batch. *)
+       anything from this batch. One pass compacts the prefix in place:
+       survivors move down to the write index [w] in scan order, so every
+       policy scans them in the same preference order (keeps IL/DL
+       placement-neutral), and the unvisited tail moves down once when
+       DL stops the scan. Parked machines keep [is_active] set so the
+       cursor tier skips them too. *)
     let i = ref 0 in
+    let w = ref 0 in
     while (not !stop) && !i < t.n_active do
       let mid = t.active.(!i) in
-      if machine_dead t (Cluster.machine t.cluster mid) then begin
-        (* order-preserving removal, so every policy scans survivors in
-           the same preference order (keeps IL/DL placement-neutral);
-           is_active stays set so the cursor tier skips it too *)
-        Array.blit t.active (!i + 1) t.active !i (t.n_active - !i - 1);
-        t.n_active <- t.n_active - 1;
+      incr i;
+      if machine_dead t (Cluster.machine t.cluster mid) then
         t.parked <- mid :: t.parked
-      end
       else begin
-        check mid;
-        incr i
+        t.active.(!w) <- mid;
+        incr w;
+        check mid
       end
     done;
+    if !w < !i then begin
+      Array.blit t.active !i t.active !w (t.n_active - !i);
+      t.n_active <- t.n_active - (!i - !w)
+    end;
     (* Tier 2: untouched machines in id order. *)
     while t.cursor < n && t.is_active.(t.cursor) do
       t.cursor <- t.cursor + 1

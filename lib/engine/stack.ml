@@ -445,14 +445,13 @@ let install_faults spec =
          ~machine_revocation:spec.fault_rate
          ~trace_line_corruption:spec.fault_rate ~seed:spec.fault_seed ())
 
-let serve_sweep ?n_machines spec ~workload =
+let serve_sweep spec ~workload =
   match spec.serve with
   | None -> invalid_arg "Stack.serve_sweep: spec carries no serve config"
   | Some sv ->
-      let machines = Option.value n_machines ~default:sv.serve_machines in
       let make_cluster () =
         Cluster.create
-          (Workload.topology workload ~n_machines:machines)
+          (Workload.topology workload ~n_machines:sv.serve_machines)
           ~constraints:(Workload.constraint_set workload)
       in
       let builds = ref [] in

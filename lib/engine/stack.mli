@@ -127,10 +127,8 @@ val install_faults : spec -> unit
     configuration is left alone). *)
 
 val serve_sweep :
-  ?n_machines:int -> spec -> workload:Workload.t ->
-  Serve.Runner.sweep_result
-(** Drive the stack through {!Serve.Runner.sweep} on a cluster of
-    [?n_machines] (default the spec's [serve_machines]) built from the
-    workload's topology; every per-point stack is engine-built and shut
-    down after the sweep.
+  spec -> workload:Workload.t -> Serve.Runner.sweep_result
+(** Drive the stack through {!Serve.Runner.sweep} on a cluster of the
+    spec's [serve_machines] built from the workload's topology; every
+    per-point stack is engine-built and shut down after the sweep.
     @raise Invalid_argument when the spec carries no {!serve} config. *)

@@ -70,54 +70,43 @@ let with_faults ~label t =
 
 let faults_recoverable = function Fault.Injected _ -> true | _ -> false
 
-(* Pre-batch placements, as (container, machine) so they can be replayed. *)
-let snapshot cluster =
-  List.filter_map
-    (fun (cid, mid) ->
-      Option.map (fun c -> (c, mid)) (Cluster.container cluster cid))
-    (Cluster.placements cluster)
-
-let restore ~on_drop cluster snap =
-  Cluster.reset cluster;
-  List.iter
-    (fun (c, mid) ->
-      match Cluster.place ~force:true cluster c mid with
-      | Ok () -> ()
-      | Error _ ->
-          (* Only possible if the machine itself vanished or shrank since
-             the snapshot (e.g. a revocation landing mid-restore); the
-             container is genuinely displaced. Count it, keep restoring. *)
-          on_drop ())
-    snap
+(* Run [f] under a fresh mark on [cluster], released on every exit path. *)
+let with_mark cluster f =
+  let m = Cluster.mark cluster in
+  Fun.protect ~finally:(fun () -> Cluster.release cluster m) (fun () -> f m)
 
 let with_transaction ~prefix ~recoverable ?fallback t =
   let c_fallback = Obs.counter (prefix ^ ".fallback_to_cold") in
   let c_rejected = Obs.counter (prefix ^ ".rejected_batches") in
   let c_drops = Obs.counter (prefix ^ ".restore_drops") in
   let schedule cluster batch =
-    let snap = snapshot cluster in
-    let restore () = restore ~on_drop:(fun () -> Obs.incr c_drops) cluster snap in
-    let reject () =
-      Obs.incr c_rejected;
-      restore ();
-      reject_outcome batch
-    in
-    match t.schedule cluster batch with
-    | outcome -> outcome
-    | exception e when recoverable e -> (
-        restore ();
-        match fallback with
-        | None ->
-            Obs.incr c_rejected;
-            reject_outcome batch
-        | Some mk -> (
-            (* The fallback builds a replacement scheduler for the retry —
-               typically the same algorithm with suspect warm state dropped —
-               and the batch runs once more on the restored cluster. *)
-            Obs.incr c_fallback;
-            match (mk ()).schedule cluster batch with
-            | outcome -> outcome
-            | exception e when recoverable e -> reject ()))
+    with_mark cluster (fun m ->
+        let restore () =
+          Cluster.rollback cluster m ~on_drop:(fun () -> Obs.incr c_drops)
+        in
+        let reject () =
+          Obs.incr c_rejected;
+          restore ();
+          reject_outcome batch
+        in
+        match t.schedule cluster batch with
+        | outcome -> outcome
+        | exception e when recoverable e -> (
+            restore ();
+            match fallback with
+            | None ->
+                Obs.incr c_rejected;
+                reject_outcome batch
+            | Some mk -> (
+                (* The fallback builds a replacement scheduler for the
+                   retry — typically the same algorithm with suspect warm
+                   state dropped — and the batch runs once more on the
+                   restored cluster; a second failure rolls back to the
+                   same mark. *)
+                Obs.incr c_fallback;
+                match (mk ()).schedule cluster batch with
+                | outcome -> outcome
+                | exception e when recoverable e -> reject ())))
   in
   { t with schedule }
 
@@ -125,7 +114,8 @@ let with_transaction ~prefix ~recoverable ?fallback t =
 (* Every rung attempt runs under a fresh ambient deadline; expiry surfaces
    as Flownet.Deadline.Expired (deliberately NOT in any rung's [recoverable]
    predicate, so it passes through the rung's own with_transaction without
-   being swallowed), the snapshot is restored, and the next rung tries.
+   being swallowed), the cluster is rolled back to the batch's mark (which
+   encloses every rung's own transaction mark), and the next rung tries.
    When the whole ladder is exhausted the admission-control knob sheds the
    lowest-priority half of the batch and restarts the ladder from the top —
    the preferred solver gets first shot at the smaller batch — so every
@@ -156,8 +146,10 @@ let with_deadline ?deadline_ms ?(shed = true) rungs =
           (Flownet.Deadline.of_env ())
   in
   let schedule cluster batch =
-    let snap = snapshot cluster in
-    let restore () = restore ~on_drop:(fun () -> Obs.incr c_drops) cluster snap in
+    with_mark cluster @@ fun m ->
+    let restore () =
+      Cluster.rollback cluster m ~on_drop:(fun () -> Obs.incr c_drops)
+    in
     let attempt rung batch =
       match budget () with
       | None -> rung.schedule cluster batch

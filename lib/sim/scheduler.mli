@@ -42,7 +42,7 @@ val reject_outcome : Container.t array -> outcome
            |> with_obs ~prefix
     ]}
     — the fault probe sits inside the transaction so a tripped batch is
-    restored and rejected instead of crashing the run. *)
+    rolled back and rejected instead of crashing the run. *)
 
 val with_obs : prefix:string -> t -> t
 (** Per-batch observability: [<prefix>.batches] / [.containers_placed] /
@@ -59,13 +59,15 @@ val faults_recoverable : exn -> bool
 
 val with_transaction :
   prefix:string -> recoverable:(exn -> bool) -> ?fallback:(unit -> t) -> t -> t
-(** Transactional batches: placements are snapshotted before the inner
-    scheduler runs; a [recoverable] exception restores them and either
-    retries once on the scheduler built by [fallback] (counted in
-    [<prefix>.fallback_to_cold]) or rejects the batch wholesale
-    ([<prefix>.rejected_batches], all containers undeployed). Containers
-    whose machine vanished mid-restore are counted in
-    [<prefix>.restore_drops]. Anything non-recoverable propagates. *)
+(** Transactional batches: a {!Cluster.mark} is opened before the inner
+    scheduler runs; a [recoverable] exception rolls the cluster back to it
+    (O(the batch's mutations)) and either retries once on the scheduler
+    built by [fallback] (counted in [<prefix>.fallback_to_cold]) or
+    rejects the batch wholesale ([<prefix>.rejected_batches], all
+    containers undeployed). Containers whose machine went offline
+    mid-batch cannot be re-placed and are counted in
+    [<prefix>.restore_drops]. Anything non-recoverable propagates; the
+    mark is released on every exit path. *)
 
 val with_deadline :
   ?deadline_ms:float -> ?shed:bool -> (string * t) list -> t
@@ -73,7 +75,8 @@ val with_deadline :
     ordered best-first. Each batch: arm a fresh ambient
     {!Flownet.Deadline} of [deadline_ms] (default [ALADDIN_DEADLINE_MS];
     no deadline → the first rung runs unbounded) and run the rung; on
-    {!Flownet.Deadline.Expired} restore the pre-batch snapshot and
+    {!Flownet.Deadline.Expired} roll back to the batch's
+    {!Cluster.mark} (which encloses each rung's own transaction mark) and
     escalate to the next rung ([ladder.escalations],
     [ladder.restore_drops]). When every rung has expired and [shed] is on
     (default), admission control sheds the lowest-priority half of the

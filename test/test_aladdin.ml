@@ -220,6 +220,122 @@ let prop_dl_preserves_placement =
       in
       run false false = run true true)
 
+(* One-pass parking keeps the blit loop's scan order: on random nearly
+   full 2-D clusters (many dead machines to park), interleaved finds,
+   placements, removals, IL/parking invalidations and batch refreshes give
+   the same find results and the same stats as [Ref_search], the blit
+   version. Paths explored, IL skips and DL cuts all depend on the order
+   in which machines are scanned. *)
+let prop_parking_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"one-pass parking = blit reference"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let rng = Rng.create seed in
+      let shapes =
+        [| (1., 1.); (1., 2.); (2., 2.); (2., 4.); (4., 4.); (4., 8.) |]
+      in
+      let shape () =
+        let cpu, mem_gb = shapes.(Rng.int rng (Array.length shapes)) in
+        Resource.make ~cpu ~mem_gb
+      in
+      let n_apps = 2 + Rng.int rng 5 in
+      let apps =
+        Array.init n_apps (fun i ->
+            Application.make ~id:i ~n_containers:1 ~demand:(shape ())
+              ~anti_affinity_within:(Rng.bool rng 0.3)
+              ~anti_affinity_across:
+                (List.filter (fun _ -> Rng.bool rng 0.2) (List.init i Fun.id))
+              ())
+      in
+      let next_id = ref 0 in
+      let container () =
+        let a = apps.(Rng.int rng n_apps) in
+        let id = !next_id in
+        incr next_id;
+        Container.make ~id ~app:a.Application.id
+          ~demand:(if Rng.bool rng 0.7 then a.Application.demand else shape ())
+          ~priority:0 ~arrival:id
+      in
+      let n_machines = 4 + Rng.int rng 40 in
+      let cl =
+        Cluster.create
+          (Topology.homogeneous ~machines_per_rack:2 ~racks_per_group:2
+             ~n_machines ~capacity:(Resource.make ~cpu:8. ~mem_gb:16.) ())
+          ~constraints:(Constraint_set.of_apps apps)
+      in
+      let placed = ref [] in
+      let place c mid =
+        match Cluster.place cl c mid with
+        | Ok () -> placed := c :: !placed; true
+        | Error _ -> false
+      in
+      (* Nearly full: random machines until many placements in a row fail,
+         leaving some machines untouched for the cursor tier. *)
+      let misses = ref 0 in
+      while !misses < 12 do
+        if place (container ()) (Rng.int rng (max 1 (n_machines - 2)))
+        then misses := 0
+        else incr misses
+      done;
+      let il = Rng.bool rng 0.8 and dl = Rng.bool rng 0.8 in
+      let eq = Rng.bool rng 0.3 in
+      let new_batch () =
+        Array.init (3 + Rng.int rng 20) (fun _ -> container ())
+      in
+      let batch = ref (new_batch ()) in
+      let fg = Aladdin.Flow_graph.build cl !batch in
+      let s = Aladdin.Search.create ~il ~dl ~eq fg in
+      let r = Ref_search.create ~il ~dl ~eq fg in
+      let same_stats () =
+        let a = Aladdin.Search.stats s and b = Ref_search.stats r in
+        a.Aladdin.Search.paths_explored = b.Ref_search.paths_explored
+        && a.il_skips = b.il_skips && a.dl_cuts = b.dl_cuts
+        && a.eq_skips = b.eq_skips
+      in
+      let ok = ref true in
+      for _ = 1 to 10 + Rng.int rng 50 do
+        (if !ok then
+           match Rng.int rng 10 with
+           | 0 | 1 | 2 | 3 -> (
+               let c = !batch.(Rng.int rng (Array.length !batch)) in
+               let found = Aladdin.Search.find_machine s c in
+               if found <> Ref_search.find_machine r c then ok := false
+               else
+                 match found with
+                 | Some mid
+                   when Cluster.machine_of cl c.Container.id = None
+                        && Rng.bool rng 0.7 ->
+                     if place c mid then begin
+                       Aladdin.Search.note_placement s mid;
+                       Ref_search.note_placement r mid
+                     end
+                 | _ -> ())
+           | 4 ->
+               (* a placement the search did not pick *)
+               let mid = Rng.int rng n_machines in
+               if place (container ()) mid then begin
+                 Aladdin.Search.note_placement s mid;
+                 Ref_search.note_placement r mid
+               end
+           | 5 | 6 -> (
+               match !placed with
+               | [] -> ()
+               | l ->
+                   let c = List.nth l (Rng.int rng (List.length l)) in
+                   if Cluster.machine_of cl c.Container.id <> None then
+                     Cluster.remove cl c.Container.id)
+           | 7 | 8 ->
+               Aladdin.Search.invalidate s;
+               Ref_search.invalidate r
+           | _ ->
+               batch := new_batch ();
+               let fg = Aladdin.Flow_graph.build cl !batch in
+               Aladdin.Search.refresh s fg;
+               Ref_search.refresh r fg);
+        if not (same_stats ()) then ok := false
+      done;
+      !ok)
+
 (* ---------- migration & preemption scenarios ---------- *)
 
 (* Fig. 3(b): A (high prio) runs on M; B (low prio, anti to A) fits only on
@@ -867,6 +983,7 @@ let () =
           Alcotest.test_case "prefers used machines" `Quick
             test_search_prefers_used_machines;
           QCheck_alcotest.to_alcotest prop_dl_preserves_placement;
+          QCheck_alcotest.to_alcotest prop_parking_matches_reference;
         ] );
       ( "migration",
         [

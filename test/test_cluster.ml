@@ -398,6 +398,163 @@ let prop_cluster_matches_reference =
       && Cluster.used_machines cl = Reference.used_machines ref_model
       && Cluster.n_placed cl = List.length ref_model.Reference.placed)
 
+(* ---------- marks and rollback ---------- *)
+
+(* What a rollback must restore, as comparable values: the placement set,
+   every machine's free vector and app counts, and the violations. *)
+let cluster_state cl ~n_apps =
+  let machines =
+    Array.to_list (Cluster.machines cl)
+    |> List.map (fun m ->
+           ( Resource.to_array (Machine.free m),
+             List.init n_apps (Machine.app_count m) ))
+  in
+  ( List.sort compare (Cluster.placements cl),
+    machines,
+    List.sort compare (Cluster.current_violations cl) )
+
+(* Random histories under one or two nested marks, run on two identical
+   clusters: one rolls back through its mutation log, the other is put
+   back by [Ref_restore] (the full-snapshot restore the log replaced).
+   Ops are placements (forced or not, new containers or earlier removed
+   ones), removals, drains, revocations (offline, then drained, as every
+   caller takes a machine down) and recoveries. Both clusters must agree
+   after every rollback, on the state and on the drop count; the log is
+   empty once the last mark is released. *)
+let prop_rollback_matches_restore =
+  QCheck.Test.make ~count:500 ~name:"rollback = snapshot restore"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n_apps = 4 in
+      let apps =
+        Array.init n_apps (fun i ->
+            Application.make ~id:i ~n_containers:99
+              ~demand:(Resource.cpu_only (float_of_int (1 + i)))
+              ~anti_affinity_within:(Rng.bool rng 0.4)
+              ~anti_affinity_across:
+                (List.filter (fun _ -> Rng.bool rng 0.4) (List.init i Fun.id))
+              ())
+      in
+      let n_machines = 2 + Rng.int rng 6 in
+      let fresh () =
+        Cluster.create
+          (Topology.homogeneous ~n_machines ~capacity:(Resource.cpu_only 8.) ())
+          ~constraints:(Constraint_set.of_apps apps)
+      in
+      let a = fresh () and b = fresh () in
+      let both f = f a; f b in
+      let next = ref 0 in
+      let known = ref [] in
+      let op () =
+        match Rng.int rng 8 with
+        | 0 | 1 | 2 ->
+            let c =
+              match !known with
+              | _ :: _ when Rng.bool rng 0.3 ->
+                  List.nth !known (Rng.int rng (List.length !known))
+              | _ ->
+                  let app = Rng.int rng n_apps in
+                  let c =
+                    mk_container ~id:!next ~app (float_of_int (1 + app))
+                  in
+                  incr next;
+                  known := c :: !known;
+                  c
+            in
+            let mid = Rng.int rng n_machines in
+            let force = Rng.bool rng 0.3 in
+            if Cluster.machine_of a c.Container.id = None then
+              both (fun cl -> ignore (Cluster.place ~force cl c mid))
+        | 3 | 4 -> (
+            match Cluster.placements a with
+            | [] -> ()
+            | ps ->
+                let cid, _ = List.nth ps (Rng.int rng (List.length ps)) in
+                both (fun cl -> Cluster.remove cl cid))
+        | 5 ->
+            let mid = Rng.int rng n_machines in
+            both (fun cl -> ignore (Cluster.drain cl mid))
+        | 6 ->
+            let mid = Rng.int rng n_machines in
+            both (fun cl ->
+                Cluster.set_offline cl mid true;
+                ignore (Cluster.drain cl mid))
+        | _ ->
+            let mid = Rng.int rng n_machines in
+            both (fun cl -> Cluster.set_offline cl mid false)
+      in
+      let ops n = for _ = 1 to n do op () done in
+      let drops_a = ref 0 and drops_b = ref 0 in
+      let agree () =
+        cluster_state a ~n_apps = cluster_state b ~n_apps && !drops_a = !drops_b
+      in
+      let rollback m snap =
+        Cluster.rollback a m ~on_drop:(fun () -> incr drops_a);
+        Ref_restore.restore ~on_drop:(fun () -> incr drops_b) b snap
+      in
+      ops (Rng.int rng 20);
+      let ok = ref true in
+      let outer = Cluster.mark a in
+      let outer_snap = Ref_restore.snapshot b in
+      ops (Rng.int rng 15);
+      if Rng.bool rng 0.5 then begin
+        let inner = Cluster.mark a in
+        let inner_snap = Ref_restore.snapshot b in
+        ops (Rng.int rng 15);
+        if Rng.bool rng 0.5 then begin
+          rollback inner inner_snap;
+          ok := !ok && agree ();
+          ops (Rng.int rng 10)
+        end;
+        Cluster.release a inner
+      end;
+      rollback outer outer_snap;
+      ok := !ok && agree ();
+      (* the mark stays open: a second rollback to it is allowed *)
+      if Rng.bool rng 0.5 then begin
+        ops (Rng.int rng 10);
+        rollback outer outer_snap;
+        ok := !ok && agree ()
+      end;
+      Cluster.release a outer;
+      !ok && Cluster.log_length a = 0)
+
+(* With no mark open nothing is logged, and marks are checked. *)
+let test_mark_log_scope () =
+  let cl = cluster_fixture () in
+  ignore (Cluster.place cl (mk_container ~id:0 ~app:2 1.) 0);
+  check int "nothing logged outside a mark" 0 (Cluster.log_length cl);
+  let m = Cluster.mark cl in
+  ignore (Cluster.place cl (mk_container ~id:1 ~app:2 1.) 1);
+  Cluster.remove cl 0;
+  check int "logged under the mark" 2 (Cluster.log_length cl);
+  let v = Cluster.version cl in
+  Cluster.rollback cl m ~on_drop:(fun () -> Alcotest.fail "no drop expected");
+  check bool "rollback bumps the version" true (Cluster.version cl > v);
+  check int "rollback is not logged" 0 (Cluster.log_length cl);
+  check bool "container 0 back" true (Cluster.machine_of cl 0 = Some 0);
+  check bool "container 1 gone" true (Cluster.machine_of cl 1 = None);
+  Cluster.release cl m;
+  Alcotest.check_raises "release without a mark"
+    (Invalid_argument "Cluster.release: mark is not open") (fun () ->
+      Cluster.release cl m)
+
+(* A machine cordoned (offline, not drained) before a batch keeps its
+   containers when the batch is rolled back: the rollback touches only
+   what the batch changed. *)
+let test_rollback_keeps_cordoned_machine () =
+  let cl = cluster_fixture () in
+  ignore (Cluster.place cl (mk_container ~id:0 ~app:2 1.) 0);
+  Cluster.set_offline cl 0 true;
+  let m = Cluster.mark cl in
+  ignore (Cluster.place cl (mk_container ~id:1 ~app:2 1.) 1);
+  Cluster.rollback cl m ~on_drop:(fun () -> Alcotest.fail "no drop expected");
+  Cluster.release cl m;
+  check bool "cordoned machine keeps its container" true
+    (Cluster.machine_of cl 0 = Some 0);
+  check int "batch placement undone" 1 (Cluster.n_placed cl)
+
 (* ---------- offline machines ---------- *)
 
 let test_offline_machines () =
@@ -483,5 +640,9 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_blacklist_consistent;
           QCheck_alcotest.to_alcotest prop_cluster_matches_reference;
+          Alcotest.test_case "mark log scope" `Quick test_mark_log_scope;
+          Alcotest.test_case "rollback keeps a cordoned machine" `Quick
+            test_rollback_keeps_cordoned_machine;
+          QCheck_alcotest.to_alcotest prop_rollback_matches_restore;
         ] );
     ]

@@ -189,6 +189,70 @@ let test_stalled_domain_abandoned () =
     (count "cells.supervisor.stalls" > s0);
   check bool "batches kept placing work" true (placed > 0)
 
+(* Live threads of this process (one per running domain), where the OS
+   reports them; [None] elsewhere. *)
+let live_threads () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | status ->
+      String.split_on_char '\n' status
+      |> List.find_map (fun line ->
+             Scanf.sscanf_opt line "Threads: %d" Fun.id)
+
+(* Wait (briefly) for joined domains' threads to leave the process. *)
+let settled_threads base =
+  let rec go tries =
+    match live_threads () with
+    | Some n when n > base && tries > 0 ->
+        Unix.sleepf 0.01;
+        go (tries - 1)
+    | n -> n
+  in
+  go 100
+
+(* A stall past the join timeout retires the coordinator's pool; shutdown
+   must still stop and join that pool's domains. Each cycle spawns one
+   pool of 4 workers and stalls one of them, so at most 4 worker domains
+   are live at any time when retired pools are joined. A leak shows as
+   threads outliving shutdown and, in 32 cycles, as OCaml's 128-domain
+   limit ("failed to allocate domain"). *)
+let test_retired_pools_joined_at_shutdown () =
+  Fault.clear ();
+  let w = drill_workload 29 in
+  let n_machines = Gen.machines_for w ~headroom:1.3 in
+  let wave = Array.sub w.Workload.containers 0 16 in
+  let sup = { sup_cfg with Cells.Supervisor.join_timeout_ms = 5. } in
+  let s0 = count "cells.supervisor.stalls" in
+  let base = live_threads () in
+  for cycle = 1 to 40 do
+    let comp =
+      Aladdin.Cells_scheduler.create ~cells:4 ~mode:`Domains ~supervise:sup ()
+    in
+    Fault.install
+      (Fault.make ~cell_stall:1.0 ~cell_stall_s:0.03 ~cell_fault_budget:1
+         ~seed:cycle ());
+    Fun.protect
+      ~finally:(fun () ->
+        Fault.clear ();
+        Aladdin.Cells_scheduler.shutdown comp)
+      (fun () ->
+        let sched = Aladdin.Cells_scheduler.scheduler comp in
+        let o = sched.Scheduler.schedule (fresh w ~n_machines) wave in
+        check int "batch fully accounted" (Array.length wave)
+          (List.length o.Scheduler.placed
+          + List.length o.Scheduler.undeployed));
+    match base with
+    | None -> ()
+    | Some b -> (
+        match settled_threads b with
+        | Some n when n > b ->
+            Alcotest.failf "cycle %d: %d domain threads outlived shutdown"
+              cycle (n - b)
+        | _ -> ())
+  done;
+  check int "every cycle abandoned its stalled domain" 40
+    (count "cells.supervisor.stalls" - s0)
+
 (* Mirror corruption surfaces as a phase-2 Desync: supervised stacks
    retry the batch instead of rejecting it. *)
 let test_corruption_retries_batch () =
@@ -232,6 +296,8 @@ let () =
             `Quick test_quarantine_redistributes_and_reinstates;
           Alcotest.test_case "stalled domain abandoned at join timeout"
             `Quick test_stalled_domain_abandoned;
+          Alcotest.test_case "retired pools joined at shutdown" `Quick
+            test_retired_pools_joined_at_shutdown;
           Alcotest.test_case "mirror corruption retries the batch" `Quick
             test_corruption_retries_batch;
         ] );
