@@ -77,8 +77,8 @@ let data_dir =
 let sched =
   let doc =
     "Scheduler stack for the extra Fig. 9/13 column and --serve: aladdin, \
-     aladdin-warm, cells, firmament[-quincy|-trivial|-octopus], medea, \
-     gokube, ladder, or a solver backend name."
+     aladdin-il, aladdin-plain, cells, firmament[-quincy|-trivial|-octopus], \
+     medea, gokube, ladder, or a solver backend name."
   in
   Arg.(value & opt (some string) None & info [ "sched" ] ~docv:"NAME" ~doc)
 

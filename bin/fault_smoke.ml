@@ -1,5 +1,5 @@
 (* Fuzz smoke driver: run the trace parsers, flow solvers, replay loop and
-   both scheduler flavours under an installed fault configuration for a
+   the scheduler stacks under an installed fault configuration for a
    bounded wall-clock budget. Any exception escaping a Result API or the
    recovery machinery is a bug — the process exits nonzero.
 
@@ -91,12 +91,8 @@ let exercise_solver rng =
     | Ok _ | Error _ -> ()
   done
 
-let exercise_replay w ~n_machines ~warm =
-  let sched =
-    sched_of
-      (bare
-         (if warm then Engine.Stack.Aladdin_warm else Engine.Stack.Aladdin))
-  in
+let exercise_replay w ~n_machines =
+  let sched = sched_of (bare Engine.Stack.Aladdin) in
   let r = Replay.run_workload ~batch:32 sched w ~n_machines in
   ignore r.Replay.elapsed_s
 
@@ -328,12 +324,12 @@ let () =
        Fault.install (fault_config ~seed ~budget:(-1));
        exercise_parsers rng base_trace base_csv;
        exercise_solver rng;
-       exercise_replay w ~n_machines ~warm:(!round mod 2 = 0);
+       exercise_replay w ~n_machines;
        if !round mod 3 = 0 then exercise_baselines w ~n_machines;
        exercise_ladder w ~n_machines;
-       (* finite budgets walk the fallback-to-cold and reject paths *)
+       (* finite budgets walk the reject path *)
        Fault.install (fault_config ~seed ~budget:(1 + (!round mod 2)));
-       exercise_replay w ~n_machines ~warm:true;
+       exercise_replay w ~n_machines;
        exercise_journal w ~n_machines ~seed;
        exercise_supervised_cells w ~n_machines ~seed;
        exercise_serve_resume w ~n_machines ~seed;
@@ -357,7 +353,6 @@ let () =
       "mincost.errors";
       Printf.sprintf "solver.%s.solves" (Flownet.Registry.name solver_backend);
       Printf.sprintf "solver.%s.errors" (Flownet.Registry.name solver_backend);
-      "aladdin.fallback_to_cold";
       "aladdin.rejected_batches";
       "aladdin.restore_drops";
       "replay.machine_revocations";

@@ -185,9 +185,9 @@ let fresh_mirror b cs =
   done
 
 (* Mirrors are rebuilt from scratch rather than patched: a rebuild gives
-   each cell a *fresh* Cluster identity, which any warm per-cell scheduler
-   state is keyed on — so carried search state invalidates
-   itself exactly when the world changed under it. Rebuilds are rare
+   each cell a *fresh* Cluster identity, and the per-cell scheduler binds
+   its carried search to that identity, so a rebuilt mirror gets a fresh
+   search (a refresh would reseed from the mirror anyway). Rebuilds are rare
    (bind, out-of-band outer mutation, post-failure, rotation change).
    Quarantined cells own a zero-width slice and are skipped — their stale
    mirror object is never assigned work nor replayed into. *)
@@ -495,7 +495,7 @@ let phase1_supervised t b sup subs active ambient =
       | None ->
           (* Stalled past the join timeout. The abandoned straggler still
              owns this cell's scheduler object, so retire it: later
-             batches must not race a warm scheduler against the
+             batches must not race its carried search against the
              straggler. *)
           Supervisor.note_stall ();
           let cs = b.cells.(ci) in

@@ -3,8 +3,7 @@
     The scheduler's hot path is imperative (it mutates the cluster as it
     augments), so recoverable failures travel as the single exception
     {!E} carrying a typed payload — callers catch exactly [E] (never a
-    bare [exn]), roll the cluster back, and degrade: the warm scheduler
-    retries the batch cold, the replay driver rejects the batch. *)
+    bare [exn]), roll the cluster back and reject the batch. *)
 
 type t =
   | Placement_failed of { container : Container.id; machine : Machine.id }

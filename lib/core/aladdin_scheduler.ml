@@ -40,41 +40,22 @@ let name_of_options o =
 let last_stats : Search.stats option ref = ref None
 let last_search_stats () = !last_stats
 
-(* Warm-start state carried between batches: the search, with its
-   cross-batch equivalence classes. Placements are unaffected — only
-   per-batch setup cost. *)
-type warm = {
-  mutable w_cluster : Cluster.t option;
-  mutable w_search : Search.t option;
-}
+(* [carry] holds the search of the last batch and the cluster it ran on:
+   the next batch on the same cluster (physically) refreshes it, which
+   reseeds it from the cluster exactly as a fresh create would. *)
+let search_for carry options fg cluster =
+  match !carry with
+  | Some (cl, s) when cl == cluster ->
+      Search.refresh s fg;
+      s
+  | _ ->
+      let s = Search.create ~il:options.il ~dl:options.dl fg in
+      carry := Some (cluster, s);
+      s
 
-let c_creates = Obs.counter "aladdin.search_creates"
-let c_refreshes = Obs.counter "aladdin.search_refreshes"
-
-let search_for ?warm options fg cluster =
-  match warm with
-  | Some w -> (
-      match (w.w_search, w.w_cluster) with
-      | Some s, Some cl
-        when cl == cluster
-             && Search.il_enabled s = options.il
-             && Search.dl_enabled s = options.dl ->
-          Search.refresh s fg;
-          Obs.incr c_refreshes;
-          s
-      | _ ->
-          let s = Search.create ~il:options.il ~dl:options.dl ~eq:true fg in
-          w.w_search <- Some s;
-          w.w_cluster <- Some cluster;
-          Obs.incr c_creates;
-          s)
-  | None ->
-      Obs.incr c_creates;
-      Search.create ~il:options.il ~dl:options.dl fg
-
-let schedule_batch ?warm options cluster batch =
+let schedule_batch ~carry options cluster batch =
   let fg = Flow_graph.build cluster batch in
-  let search = search_for ?warm options fg cluster in
+  let search = search_for carry options fg cluster in
   let capacity = Topology.capacity (Cluster.topology cluster) 0 in
   let weights =
     match options.weight_base with
@@ -119,7 +100,7 @@ let schedule_batch ?warm options cluster batch =
       | Error _ ->
           (* The search said this machine admits [c]; a denial means the
              cluster diverged from the search state — typed error, the
-             batch wrapper restores and retries cold. *)
+             batch wrapper rolls back and rejects the batch. *)
           Aladdin_error.raise_error
             (Aladdin_error.Placement_failed
                { container = c.Container.id; machine = mid }));
@@ -172,7 +153,15 @@ let schedule_batch ?warm options cluster batch =
           in
           if not preempted then undeployed := c :: !undeployed)
   done;
-  last_stats := Some (Search.stats search);
+  (* A copy: a carried search reuses its record for the next batch. *)
+  let st = Search.stats search in
+  last_stats :=
+    Some
+      {
+        Search.paths_explored = st.paths_explored;
+        il_skips = st.il_skips;
+        dl_cuts = st.dl_cuts;
+      };
   (* Gang semantics: an app with any undeployed batch container loses its
      whole batch (partial LLAs are useless to gang workloads). *)
   if options.gang && !undeployed <> [] then begin
@@ -207,13 +196,10 @@ let schedule_batch ?warm options cluster batch =
     rounds = !rounds;
   }
 
-let schedule_raw options cluster batch = schedule_batch options cluster batch
+let schedule_raw options cluster batch =
+  schedule_batch ~carry:(ref None) options cluster batch
 
 (* ---- Batch-level recovery -------------------------------------------- *)
-
-let warm_invalidate w =
-  w.w_search <- None;
-  w.w_cluster <- None
 
 (* Everything the scheduler can recover from travels as one of these two
    exceptions; anything else (Out_of_memory, a genuine bug) propagates. *)
@@ -221,31 +207,14 @@ let recoverable = function
   | Aladdin_error.E _ -> true
   | e -> Scheduler.faults_recoverable e
 
-(* Mark/rollback, fallback-to-cold, rejection and batch obs all come
-   from the scheduler middleware; this layer only decides what a "cold
-   retry" means (drop the warm state, rerun without it). *)
-let stack ?fallback name schedule =
-  { Scheduler.name; schedule }
-  |> Scheduler.with_transaction ~prefix:"aladdin" ~recoverable ?fallback
-  |> Scheduler.with_obs ~prefix:"aladdin"
-
+(* Mark/rollback, rejection and batch obs come from the scheduler
+   middleware. A rejected batch leaves nothing stale behind: the next
+   batch's refresh reseeds the search from the rolled-back cluster. *)
 let make ?(options = default_options) () =
-  stack (name_of_options options) (fun cluster batch ->
-      schedule_batch options cluster batch)
-
-let make_warm ?(options = default_options) () =
-  let warm = { w_cluster = None; w_search = None } in
-  let cold () =
-    (* Warm state is suspect after a failed batch: drop the carried
-       search and cluster binding, then retry the batch cold. The cold
-       retry re-derives everything from the (restored) cluster, so its
-       placements match a never-warmed scheduler batch for batch. *)
-    warm_invalidate warm;
-    {
-      Scheduler.name = name_of_options options;
-      schedule = (fun cluster batch -> schedule_batch options cluster batch);
-    }
-  in
-  stack ~fallback:cold
-    (name_of_options options ^ "~warm")
-    (fun cluster batch -> schedule_batch ~warm options cluster batch)
+  let carry = ref None in
+  {
+    Scheduler.name = name_of_options options;
+    schedule = (fun cluster batch -> schedule_batch ~carry options cluster batch);
+  }
+  |> Scheduler.with_transaction ~prefix:"aladdin" ~recoverable
+  |> Scheduler.with_obs ~prefix:"aladdin"

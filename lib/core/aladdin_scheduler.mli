@@ -7,11 +7,9 @@
 
     Batches are transactional: a {!Cluster.mark} is opened before each
     batch, and a recoverable mid-batch failure ({!Aladdin_error.E} or
-    {!Fault.Injected}) rolls the cluster back to it. A warm scheduler
-    then invalidates its carried state and retries the batch cold
-    ([aladdin.fallback_to_cold]); if even the cold attempt fails, the
-    whole batch is reported undeployed ([aladdin.rejected_batches]) and
-    the process keeps running. *)
+    {!Fault.Injected}) rolls the cluster back to it: the whole batch is
+    reported undeployed ([aladdin.rejected_batches]) and the process keeps
+    running. *)
 
 type options = {
   il : bool;  (** isomorphism limiting (§IV.A) *)
@@ -43,11 +41,17 @@ val name_of_options : options -> string
 val make : ?options:options -> unit -> Scheduler.t
 (** A {!Scheduler.t} usable with {!Replay}. Each [schedule] call builds the
     tiered network for the batch, orders containers by weighted magnitude
-    (Eq. 9) and augments one impartible container-flow at a time. *)
+    (Eq. 9) and augments one impartible container-flow at a time.
+
+    The scheduler carries one {!Search.t} across batches, bound to the
+    last cluster it scheduled (compared physically; another cluster gets a
+    fresh search). Each batch {!Search.refresh}es it, which reseeds it
+    from the cluster, so placements equal a fresh search per batch
+    whoever else placed on the cluster in between. *)
 
 val schedule_raw :
   options -> Cluster.t -> Container.t array -> Scheduler.outcome
-(** One bare Algorithm-1 batch: no transaction, no obs, no warm state.
+(** One bare Algorithm-1 batch on a fresh search: no transaction, no obs.
     For embedders (the cells coordinator's fix-up phase) that provide
     their own recovery envelope around the call. *)
 
@@ -55,20 +59,7 @@ val recoverable : exn -> bool
 (** The exception class the batch transaction recovers from:
     {!Aladdin_error.E} and the {!Fault} harness injections. *)
 
-(** {2 Incremental warm start}
-
-    A warm scheduler keeps its {!Search} machinery alive between
-    successive batches against the same cluster instead of rebuilding it
-    from scratch: the search is refreshed per batch and keeps its
-    cross-batch machine equivalence classes. It binds lazily to the first
-    cluster it schedules and re-binds (dropping the carried state) if
-    pointed at another. Warm start changes batch latency only —
-    placements are identical to the from-scratch scheduler, batch for
-    batch (enforced by the equivalence regression test). *)
-
-val make_warm : ?options:options -> unit -> Scheduler.t
-(** Like {!make} but carrying a private warm search across calls. *)
-
 val last_search_stats : unit -> Search.stats option
-(** Stats of the most recent [schedule] call made through {!make} (for the
-    overhead experiments); [None] before any call. *)
+(** A copy of the search stats of the most recent batch run through {!make}
+    or {!schedule_raw} (for the overhead experiments); [None] before any
+    call. *)

@@ -1,6 +1,6 @@
 (* The Aladdin scheduler sharded over cells: each cell runs a private
-   (optionally warm) Aladdin stack on its mirror; phase-2 leftovers go
-   through one bare Algorithm-1 run over the whole outer cluster. The
+   Aladdin stack on its mirror; phase-2 leftovers go through one bare
+   Algorithm-1 run over the whole outer cluster. The
    coordinator output is wrapped in [cells.*] batch obs, mirroring the
    unsharded stack's [aladdin.*] series one level up. *)
 
@@ -15,17 +15,14 @@ let name ~cells options =
     (Aladdin_scheduler.name_of_options options)
 
 let create ?cells ?mode ?(options = Aladdin_scheduler.default_options)
-    ?(warm = true) ?(fixup = true) ?supervise () =
+    ?(fixup = true) ?supervise () =
   let mode =
     match mode with Some m -> m | None -> Cells.Coordinator.mode_of_env ()
   in
   let cells =
     match cells with Some n -> n | None -> Cells.Partition.default_cells ()
   in
-  let make_cell ~cell:_ ~n_cells:_ =
-    if warm then Aladdin_scheduler.make_warm ~options ()
-    else Aladdin_scheduler.make ~options ()
-  in
+  let make_cell ~cell:_ ~n_cells:_ = Aladdin_scheduler.make ~options () in
   let supervisor = Option.map Cells.Supervisor.create supervise in
   let coordinator =
     Cells.Coordinator.create ~mode ~fixup
@@ -44,5 +41,5 @@ let n_cells t = t.n_cells
 let shutdown t = Cells.Coordinator.shutdown t.coordinator
 let last_breakdown t = Cells.Coordinator.last_breakdown t.coordinator
 
-let make ?cells ?mode ?options ?warm ?fixup ?supervise () =
-  (create ?cells ?mode ?options ?warm ?fixup ?supervise ()).scheduler
+let make ?cells ?mode ?options ?fixup ?supervise () =
+  (create ?cells ?mode ?options ?fixup ?supervise ()).scheduler

@@ -3,13 +3,13 @@
     The cluster is partitioned into rack-aligned cells (cell count from
     [?cells], default the last [ALADDIN_CELLS] entry or [1]; execution
     mode from [?mode], default [ALADDIN_CELLS_MODE] or [`Auto]); each cell
-    runs a private Aladdin stack — warm by default — on its own mirror
-    cluster, on its own domain, and one bare Algorithm-1 fix-up run over
-    the whole outer cluster handles the containers no cell could place.
+    runs a private Aladdin stack on its own mirror cluster, on its own
+    domain, and one bare Algorithm-1 fix-up run over the whole outer
+    cluster handles the containers no cell could place.
     See {!Cells.Coordinator} for the consistency protocol.
 
     With [~cells:1] the composite reproduces the unsharded
-    {!Aladdin_scheduler.make_warm} placements exactly; with more cells,
+    {!Aladdin_scheduler.make} placements exactly; with more cells,
     placements are deterministic for a given cell count and batch
     sequence, and identical between [`Sequential] and [`Domains]
     execution (the differential suite's invariants). *)
@@ -20,7 +20,6 @@ val create :
   ?cells:int ->
   ?mode:Cells.Coordinator.mode ->
   ?options:Aladdin_scheduler.options ->
-  ?warm:bool ->
   ?fixup:bool ->
   ?supervise:Cells.Supervisor.config ->
   unit ->
@@ -40,7 +39,6 @@ val make :
   ?cells:int ->
   ?mode:Cells.Coordinator.mode ->
   ?options:Aladdin_scheduler.options ->
-  ?warm:bool ->
   ?fixup:bool ->
   ?supervise:Cells.Supervisor.config ->
   unit ->

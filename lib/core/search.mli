@@ -15,13 +15,7 @@
       so searching past the first admissible machine cannot increase it —
       the scan stops there. Without DL the whole tier is scanned and the
       same best-ranked machine selected, so DL changes latency, not
-      placement.
-    - {b Equivalence classes (EQ, opt-in)}: machines with the same
-      free-resource signature are capacity-isomorphic. "Free vector F
-      cannot host demand D" is a pure fact about the two vectors, so a
-      recorded misfit lets every machine sharing the signature skip the
-      scan — across batches too, when the search is {!refresh}ed instead
-      of recreated. Like IL/DL, EQ changes latency, not placement. *)
+      placement. *)
 
 type t
 
@@ -30,20 +24,19 @@ type stats = {
       (** admissibility checks performed — the algorithm-overhead proxy *)
   mutable il_skips : int;  (** scans avoided by isomorphism limiting *)
   mutable dl_cuts : int;   (** scans cut short by depth limiting *)
-  mutable eq_skips : int;
-      (** scans avoided by free-signature equivalence classes *)
 }
 
-val create : ?il:bool -> ?dl:bool -> ?eq:bool -> Flow_graph.t -> t
-(** IL and DL default to on; the equivalence-class cache defaults to off
-    (it changes [paths_explored] accounting, not placement). *)
+val create : ?il:bool -> ?dl:bool -> Flow_graph.t -> t
+(** A search over [fg]'s cluster, seeded for [fg]'s batch as {!refresh}
+    seeds it. IL and DL default to on. *)
 
 val refresh : t -> Flow_graph.t -> unit
-(** Re-point the search at a new batch over the {e same} cluster, exactly
-    as {!create} would: per-batch IL caches and stats are cleared and the
-    packing preference re-seeded from the machines currently in use. The
-    cross-batch equivalence table survives — this is what makes a warm
-    search cheaper than a fresh one while staying placement-identical.
+(** Re-point the search at a new batch over the {e same} cluster: the
+    per-batch IL caches, stats and parked machines are cleared, and the
+    packing preference is re-seeded from the cluster — every machine in
+    use, in id order, whoever placed on it. {!create} runs the same
+    seeding, so a refreshed search picks exactly what a fresh one would;
+    it only saves the allocation.
     @raise Invalid_argument when [fg] was built against another cluster. *)
 
 val find_machine : t -> Container.t -> Machine.id option
@@ -57,6 +50,5 @@ val invalidate : t -> unit
 (** Drop IL caches after resources were freed (migration/preemption). *)
 
 val stats : t -> stats
-val il_enabled : t -> bool
-val dl_enabled : t -> bool
-val eq_enabled : t -> bool
+(** Counts since the last {!create} or {!refresh}. The record is reused
+    across refreshes: copy it to keep one batch's counts. *)

@@ -6,7 +6,6 @@
 
 type kind =
   | Aladdin
-  | Aladdin_warm
   | Cells
   | Firmament
   | Medea
@@ -36,7 +35,6 @@ type spec = {
   ladder_rungs : string list option;
   audit : bool;
   fault_rate : float;
-  fault_seed : int;
   serve : serve option;
 }
 
@@ -60,7 +58,6 @@ let default =
     ladder_rungs = None;
     audit = false;
     fault_rate = 0.;
-    fault_seed = 1337;
     serve = None;
   }
 
@@ -70,7 +67,6 @@ let label spec =
       if spec.il && not spec.dl then "aladdin-il"
       else if (not spec.il) && not spec.dl then "aladdin-plain"
       else "aladdin"
-  | Aladdin_warm -> "aladdin-warm"
   | Cells -> (
       match spec.cells with
       | Some n -> Printf.sprintf "cells(%d)" n
@@ -84,7 +80,6 @@ let label spec =
 let known_names =
   [
     "aladdin";
-    "aladdin-warm";
     "aladdin-plain";
     "aladdin-il";
     "cells";
@@ -100,7 +95,6 @@ let known_names =
 let of_name ?(base = default) s =
   match String.lowercase_ascii (String.trim s) with
   | "aladdin" -> Ok { base with kind = Aladdin; il = true; dl = true }
-  | "aladdin-warm" -> Ok { base with kind = Aladdin_warm; il = true; dl = true }
   | "aladdin-plain" -> Ok { base with kind = Aladdin; il = false; dl = false }
   | "aladdin-il" -> Ok { base with kind = Aladdin; il = true; dl = false }
   | "cells" -> Ok { base with kind = Cells }
@@ -193,11 +187,6 @@ let of_env ?(base = default) () =
     | Some r -> { spec with fault_rate = r }
     | None -> spec
   in
-  let spec =
-    match Env.int_opt "ALADDIN_FAULT_SEED" with
-    | Some s -> { spec with fault_seed = s }
-    | None -> spec
-  in
   spec
 
 let serve_env_serve () =
@@ -282,8 +271,6 @@ let of_args ?(base = default) args =
     | "--fault-rate" :: v :: rest ->
         float_arg "--fault-rate" v (fun r ->
             go { spec with fault_rate = r } rest)
-    | "--fault-seed" :: v :: rest ->
-        int_arg "--fault-seed" v (fun s -> go { spec with fault_seed = s } rest)
     | "--serve" :: rest -> go (with_serve spec Fun.id) rest
     | "--serve-machines" :: v :: rest ->
         int_arg "--serve-machines" v (fun n ->
@@ -329,7 +316,7 @@ let of_args ?(base = default) args =
       when List.mem flag
              [
                "--sched"; "--solver"; "--dijkstra"; "--cells"; "--cells-mode";
-               "--deadline-ms"; "--ladder"; "--fault-rate"; "--fault-seed";
+               "--deadline-ms"; "--ladder"; "--fault-rate";
                "--serve-machines"; "--supervise-retries";
                "--supervise-threshold"; "--supervise-cooldown";
                "--supervise-timeout-ms"; "--supervise-backoff-ms";
@@ -368,10 +355,6 @@ let build spec =
     match spec.kind with
     | Aladdin ->
         ( Aladdin.Aladdin_scheduler.make ~options:(aladdin_options spec) (),
-          noop,
-          no_breakdown )
-    | Aladdin_warm ->
-        ( Aladdin.Aladdin_scheduler.make_warm ~options:(aladdin_options spec) (),
           noop,
           no_breakdown )
     | Cells ->
@@ -435,15 +418,6 @@ let build spec =
   { spec; scheduler = sched; epoch = Obs.epoch (); shutdown; breakdown }
 
 let run_counters b = Obs.counters_since b.epoch
-
-let install_faults spec =
-  if spec.fault_rate > 0. then
-    Fault.install
-      (Fault.make ~arc_cost_flip:spec.fault_rate
-         ~arc_capacity_drop:spec.fault_rate
-         ~solver_step_failure:spec.fault_rate
-         ~machine_revocation:spec.fault_rate
-         ~trace_line_corruption:spec.fault_rate ~seed:spec.fault_seed ())
 
 let serve_sweep spec ~workload =
   match spec.serve with

@@ -12,8 +12,7 @@
     placement fingerprint) to the hand-built stacks it replaced. *)
 
 type kind =
-  | Aladdin  (** the paper's scheduler, search rebuilt every batch *)
-  | Aladdin_warm  (** the same, search refreshed across batches *)
+  | Aladdin  (** the paper's scheduler, search carried across batches *)
   | Cells  (** [Aladdin.Cells_scheduler] sharded over domains *)
   | Firmament
   | Medea
@@ -56,8 +55,9 @@ type spec = {
   deadline_ms : float;  (** > 0 wraps the stack in the deadline ladder *)
   ladder_rungs : string list option;
   audit : bool;  (** wrap outermost in {!Audit.wrap} with repair *)
-  fault_rate : float;  (** > 0: {!install_faults} arms every fault class *)
-  fault_seed : int;
+  fault_rate : float;
+      (** arms nothing by itself: bin/fault_smoke reads it as the
+          per-injection-point rate of the fault harness it installs *)
   (* serving front end *)
   serve : serve option;
 }
@@ -66,12 +66,12 @@ val default : spec
 (** [kind = Aladdin], no middleware, library defaults everywhere. *)
 
 val label : spec -> string
-(** Short stable name ("aladdin-warm", "cells(4)", ...) used as the
+(** Short stable name ("aladdin-il", "cells(4)", ...) used as the
     ladder first-rung label and in reports. *)
 
 val of_name : ?base:spec -> string -> (spec, string) result
 (** [base] (default {!default}) with the kind named by the string:
-    "aladdin", "aladdin-warm", "aladdin-plain", "aladdin-il", "cells",
+    "aladdin", "aladdin-plain", "aladdin-il", "cells",
     "firmament" (or "firmament-trivial" / "-quincy" / "-octopus"),
     "medea", "gokube", "ladder", or any registry backend name (which
     builds a Firmament stack pinned to that solver, as the serving phase
@@ -83,7 +83,7 @@ val of_env : ?base:spec -> unit -> spec
     [ALADDIN_DIJKSTRA], [ALADDIN_CELLS] (last entry),
     [ALADDIN_CELLS_MODE], [ALADDIN_DEADLINE_MS] (also arms {!audit}, as
     the bench always audited deadline-bounded runs), [ALADDIN_LADDER],
-    [ALADDIN_FAULT_RATE], [ALADDIN_FAULT_SEED], and [ALADDIN_SUPERVISE]
+    [ALADDIN_FAULT_RATE], and [ALADDIN_SUPERVISE]
     (any [ALADDIN_SUPERVISE*] knob implies supervision on, config from
     {!Cells.Supervisor.config_of_env}). Unset variables leave [base]
     untouched. *)
@@ -91,7 +91,7 @@ val of_env : ?base:spec -> unit -> spec
 val of_args : ?base:spec -> string list -> (spec, string) result
 (** CLI form of {!of_env}: [--sched NAME --solver NAME --dijkstra
     auto|heap|dial --cells N --cells-mode auto|domains|sequential
-    --deadline-ms F --ladder r1,r2 --audit --fault-rate F --fault-seed N
+    --deadline-ms F --ladder r1,r2 --audit --fault-rate F
     --serve --serve-machines N --supervise --supervise-retries N
     --supervise-threshold N --supervise-cooldown N
     --supervise-timeout-ms F --supervise-backoff-ms F]. [--serve]
@@ -120,11 +120,6 @@ val run_counters : built -> (string * int) list
 (** Counters incremented since {!build}, via the built stack's
     {!Obs.epoch} — back-to-back runs in one process don't bleed into
     each other's numbers. *)
-
-val install_faults : spec -> unit
-(** Arm {!Fault.install} with every fault class at [fault_rate] when
-    positive; otherwise do nothing (any previously installed
-    configuration is left alone). *)
 
 val serve_sweep :
   spec -> workload:Workload.t -> Serve.Runner.sweep_result

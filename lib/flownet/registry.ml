@@ -73,7 +73,10 @@ let of_env () =
 
 (* ---- degradation ladder rungs (run by Baselines.Ladder) ---- *)
 
-let default_rungs = [ "mincost"; "cost-scaling"; "dinic" ]
+(* Min-cost backends only: a max-flow rung ignores costs, routes the flow
+   through Firmament's unscheduled node and places nothing, and the ladder
+   accepts it because it returns. *)
+let default_rungs = [ "mincost"; "cost-scaling" ]
 
 let rungs_of_env () =
   match Sys.getenv_opt "ALADDIN_LADDER" with

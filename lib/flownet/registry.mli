@@ -45,8 +45,10 @@ val solve :
     not trustworthy — reset or escalate. *)
 
 val default_rungs : string list
-(** [["mincost"; "cost-scaling"; "dinic"]] — cheapest-exact to
-    cheapest-approximate, the order [Baselines.Ladder] tries them. *)
+(** [["mincost"; "cost-scaling"]] — exact first, then the capped
+    approximation, the order [Baselines.Ladder] tries them. Max-flow
+    backends are left out: they ignore costs, so a Firmament rung on one
+    places nothing, and the ladder accepts any rung that returns. *)
 
 val rungs_of_env : unit -> string list
 (** Rung names from [ALADDIN_LADDER] (comma-separated), default

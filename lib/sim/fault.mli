@@ -25,8 +25,8 @@ type t = {
   solver_failure_budget : int;
       (** Maximum number of solver-step failures actually raised; [-1] is
           unlimited. A finite budget makes recovery tests deterministic:
-          budget 1 with rate 1.0 fails the warm attempt and lets the cold
-          retry through. *)
+          budget 1 with rate 1.0 fails exactly the first attempt, and the
+          batches after it run unfaulted. *)
   process_kill_after : int;
       (** {!trip_process_kill} raises {!Killed} on probe number
           [process_kill_after] (0 kills at the first probe); [-1] never.

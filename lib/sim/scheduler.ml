@@ -75,38 +75,17 @@ let with_mark cluster f =
   let m = Cluster.mark cluster in
   Fun.protect ~finally:(fun () -> Cluster.release cluster m) (fun () -> f m)
 
-let with_transaction ~prefix ~recoverable ?fallback t =
-  let c_fallback = Obs.counter (prefix ^ ".fallback_to_cold") in
+let with_transaction ~prefix ~recoverable t =
   let c_rejected = Obs.counter (prefix ^ ".rejected_batches") in
   let c_drops = Obs.counter (prefix ^ ".restore_drops") in
   let schedule cluster batch =
     with_mark cluster (fun m ->
-        let restore () =
-          Cluster.rollback cluster m ~on_drop:(fun () -> Obs.incr c_drops)
-        in
-        let reject () =
-          Obs.incr c_rejected;
-          restore ();
-          reject_outcome batch
-        in
         match t.schedule cluster batch with
         | outcome -> outcome
-        | exception e when recoverable e -> (
-            restore ();
-            match fallback with
-            | None ->
-                Obs.incr c_rejected;
-                reject_outcome batch
-            | Some mk -> (
-                (* The fallback builds a replacement scheduler for the
-                   retry — typically the same algorithm with suspect warm
-                   state dropped — and the batch runs once more on the
-                   restored cluster; a second failure rolls back to the
-                   same mark. *)
-                Obs.incr c_fallback;
-                match (mk ()).schedule cluster batch with
-                | outcome -> outcome
-                | exception e when recoverable e -> reject ())))
+        | exception e when recoverable e ->
+            Cluster.rollback cluster m ~on_drop:(fun () -> Obs.incr c_drops);
+            Obs.incr c_rejected;
+            reject_outcome batch)
   in
   { t with schedule }
 

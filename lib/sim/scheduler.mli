@@ -58,13 +58,11 @@ val faults_recoverable : exn -> bool
     schedulers with no typed error channel of their own. *)
 
 val with_transaction :
-  prefix:string -> recoverable:(exn -> bool) -> ?fallback:(unit -> t) -> t -> t
+  prefix:string -> recoverable:(exn -> bool) -> t -> t
 (** Transactional batches: a {!Cluster.mark} is opened before the inner
     scheduler runs; a [recoverable] exception rolls the cluster back to it
-    (O(the batch's mutations)) and either retries once on the scheduler
-    built by [fallback] (counted in [<prefix>.fallback_to_cold]) or
-    rejects the batch wholesale ([<prefix>.rejected_batches], all
-    containers undeployed). Containers whose machine went offline
+    (O(the batch's mutations)) and rejects the batch wholesale
+    ([<prefix>.rejected_batches], all containers undeployed). Containers whose machine went offline
     mid-batch cannot be re-placed and are counted in
     [<prefix>.restore_drops]. Anything non-recoverable propagates; the
     mark is released on every exit path. *)

@@ -1,5 +1,5 @@
-(* Tests for the baseline schedulers: Firmament, Medea, Go-Kube, and the
-   undeployed-cause classifier. Includes the paper's Figure 1 scenario. *)
+(* Tests for the baseline schedulers: Firmament, Medea, Go-Kube, the
+   degradation ladder's rungs and the undeployed-cause classifier. Includes the paper's Figure 1 scenario. *)
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -303,6 +303,26 @@ let test_classifier () =
   check bool "no violation for pure capacity" true
     (Classify.undeployed_violation cl (mk ~id:4 ~app:1 40.) = None)
 
+(* ---------- degradation ladder ---------- *)
+
+(* The ladder accepts the first rung that returns, so a rung that returns
+   without placing anything hides every rung behind it. Each default rung,
+   alone, must place a 50-container batch on an ample cluster. *)
+let test_default_rungs_place () =
+  let w = Alibaba.generate { (Alibaba.scaled 0.01) with Alibaba.seed = 42 } in
+  let batch = Array.sub w.Workload.containers 0 50 in
+  List.iter
+    (fun rung ->
+      let cl =
+        Cluster.create
+          (Workload.topology w ~n_machines:400)
+          ~constraints:(Workload.constraint_set w)
+      in
+      let o = (Ladder.make ~rungs:[ rung ] ()).Scheduler.schedule cl batch in
+      check int (rung ^ " places the batch") 50
+        (List.length o.Scheduler.placed))
+    Ladder.default_rungs
+
 let () =
   Alcotest.run "baselines"
     [
@@ -343,6 +363,11 @@ let () =
             test_gokube_preempts_for_capacity_only;
           Alcotest.test_case "spreads across machines" `Quick
             test_gokube_uses_more_machines_than_aladdin;
+        ] );
+      ( "ladder",
+        [
+          Alcotest.test_case "every default rung places" `Quick
+            test_default_rungs_place;
         ] );
       ("classify", [ Alcotest.test_case "causes" `Quick test_classifier ]);
     ]

@@ -61,7 +61,7 @@ let test_one_cell_equals_unsharded () =
       let w, n_machines, batches = case seed in
       let cl_ref = fresh w ~n_machines in
       let cl_cells = fresh w ~n_machines in
-      let reference = Aladdin.Aladdin_scheduler.make_warm () in
+      let reference = Aladdin.Aladdin_scheduler.make () in
       let cells =
         Aladdin.Cells_scheduler.make ~cells:1 ~mode:`Sequential ()
       in
@@ -118,7 +118,7 @@ let test_bounded_undeployed_delta () =
     (fun seed ->
       let w, n_machines, batches = case seed in
       let cl_ref = fresh w ~n_machines in
-      let reference = Aladdin.Aladdin_scheduler.make_warm () in
+      let reference = Aladdin.Aladdin_scheduler.make () in
       let ref_undep = total_undeployed (replay reference cl_ref batches) in
       let n_total = Array.length w.Workload.containers in
       let bound = ref_undep + 3 + (n_total / 10) in

@@ -50,10 +50,6 @@ let cases solver =
     ( "aladdin",
       { Stack.default with Stack.solver = Some solver },
       fun () -> (Aladdin.Aladdin_scheduler.make (), noop) );
-    ( "aladdin-warm",
-      { Stack.default with Stack.kind = Stack.Aladdin_warm;
-        solver = Some solver },
-      fun () -> (Aladdin.Aladdin_scheduler.make_warm (), noop) );
     ( "aladdin-plain",
       { Stack.default with Stack.il = false; dl = false;
         solver = Some solver },
@@ -249,12 +245,12 @@ let test_of_args () =
 let test_of_env () =
   Unix.putenv "ALADDIN_DEADLINE_MS" "1.5";
   Unix.putenv "ALADDIN_FAULT_RATE" "0.1";
-  let base = { Stack.default with Stack.fault_seed = 99 } in
+  let base = { Stack.default with Stack.reschd = 99 } in
   let s = Stack.of_env ~base () in
   check bool "deadline from env" true (s.Stack.deadline_ms = 1.5);
   check bool "deadline arms audit" true s.Stack.audit;
   check bool "fault rate from env" true (s.Stack.fault_rate = 0.1);
-  check int "unset knob keeps base" 99 s.Stack.fault_seed;
+  check int "unset knob keeps base" 99 s.Stack.reschd;
   Unix.putenv "ALADDIN_DEADLINE_MS" "";
   Unix.putenv "ALADDIN_FAULT_RATE" "";
   let s = Stack.of_env ~base () in

@@ -130,32 +130,10 @@ let test_solvers_never_raise () =
 let small_workload seed =
   Alibaba.generate { (Alibaba.scaled 0.004) with Alibaba.seed = seed }
 
-(* A warm scheduler whose first batch trips an injected solver failure must
-   fall back to a cold solve and end up with exactly the placements of a
-   never-faulted cold run. *)
-let test_fallback_matches_cold () =
-  let w = small_workload 31 in
-  let n_machines = machines_for w ~headroom:1.25 in
-  let ws = waves w.Workload.containers ~n_batches:6 in
-  let cl_ref = fresh_cluster w ~n_machines in
-  let cold = Aladdin.Aladdin_scheduler.make () in
-  List.iter (fun wave -> ignore (cold.Scheduler.schedule cl_ref wave)) ws;
-  let c_fallback = Obs.counter "aladdin.fallback_to_cold" in
-  let c_rejected = Obs.counter "aladdin.rejected_batches" in
-  let fb0 = Obs.count c_fallback and rj0 = Obs.count c_rejected in
-  let cl = fresh_cluster w ~n_machines in
-  let warm = Aladdin.Aladdin_scheduler.make_warm () in
-  Fault.install
-    (Fault.make ~solver_step_failure:1.0 ~solver_failure_budget:1 ~seed:7 ());
-  Fun.protect ~finally:Fault.clear (fun () ->
-      List.iter (fun wave -> ignore (warm.Scheduler.schedule cl wave)) ws);
-  check int "one fallback to cold" (fb0 + 1) (Obs.count c_fallback);
-  check int "no rejected batches" rj0 (Obs.count c_rejected);
-  check bool "fallback placements = cold placements" true
-    (sorted_placements cl = sorted_placements cl_ref)
-
-(* When the cold retry fails too, the batch is rejected: every pre-batch
-   placement survives and the whole wave is reported undeployed. *)
+(* A batch that trips an injected solver failure is rejected: every
+   pre-batch placement survives, the whole wave is reported undeployed,
+   and the next batch reseeds the carried search from the rolled-back
+   cluster. *)
 let test_rejected_batch_is_transactional () =
   let w = small_workload 32 in
   let n_machines = machines_for w ~headroom:1.25 in
@@ -164,17 +142,17 @@ let test_rejected_batch_is_transactional () =
     match ws with a :: b :: _ -> (a, b) | _ -> Alcotest.fail "need 2 waves"
   in
   let cl = fresh_cluster w ~n_machines in
-  let warm = Aladdin.Aladdin_scheduler.make_warm () in
-  ignore (warm.Scheduler.schedule cl wave1);
+  let sched = Aladdin.Aladdin_scheduler.make () in
+  ignore (sched.Scheduler.schedule cl wave1);
   let before = sorted_placements cl in
   check bool "wave 1 placed something" true (before <> []);
   let c_rejected = Obs.counter "aladdin.rejected_batches" in
   let rj0 = Obs.count c_rejected in
   Fault.install
-    (Fault.make ~solver_step_failure:1.0 ~solver_failure_budget:2 ~seed:7 ());
+    (Fault.make ~solver_step_failure:1.0 ~solver_failure_budget:1 ~seed:7 ());
   let outcome =
     Fun.protect ~finally:Fault.clear (fun () ->
-        warm.Scheduler.schedule cl wave2)
+        sched.Scheduler.schedule cl wave2)
   in
   check int "batch rejected" (rj0 + 1) (Obs.count c_rejected);
   check int "whole wave undeployed" (Array.length wave2)
@@ -182,10 +160,17 @@ let test_rejected_batch_is_transactional () =
   check int "nothing placed" 0 (List.length outcome.Scheduler.placed);
   check bool "pre-batch placements restored" true
     (sorted_placements cl = before);
-  (* the scheduler keeps working once the budget is exhausted *)
-  let outcome2 = warm.Scheduler.schedule cl wave2 in
+  (* the scheduler keeps working once the budget is exhausted, and places
+     as a fresh search on a never-faulted cluster does *)
+  let outcome2 = sched.Scheduler.schedule cl wave2 in
   check bool "recovers after faults stop" true
-    (outcome2.Scheduler.placed <> [])
+    (outcome2.Scheduler.placed <> []);
+  let cl_ref = fresh_cluster w ~n_machines in
+  let options = Aladdin.Aladdin_scheduler.default_options in
+  ignore (Aladdin.Aladdin_scheduler.schedule_raw options cl_ref wave1);
+  let ref2 = Aladdin.Aladdin_scheduler.schedule_raw options cl_ref wave2 in
+  check bool "next batch places as a fresh search" true
+    (outcome2.Scheduler.placed = ref2.Scheduler.placed)
 
 (* ---------- replay under faults ---------- *)
 
@@ -199,7 +184,7 @@ let test_replay_survives_faults () =
   let r =
     Fun.protect ~finally:Fault.clear (fun () ->
         Replay.run_workload ~batch:24
-          (Aladdin.Aladdin_scheduler.make_warm ())
+          (Aladdin.Aladdin_scheduler.make ())
           w ~n_machines)
   in
   check bool "monotonic elapsed" true (r.Replay.elapsed_s >= 0.);
@@ -229,8 +214,6 @@ let () =
         ] );
       ( "recovery",
         [
-          Alcotest.test_case "fallback matches cold" `Quick
-            test_fallback_matches_cold;
           Alcotest.test_case "rejected batch is transactional" `Quick
             test_rejected_batch_is_transactional;
         ] );

@@ -1,7 +1,9 @@
-(* Warm-start regression suite: the incremental scheduling core must be
-   behaviourally identical to from-scratch — same placements, batch for
-   batch, over a multi-batch replay in every arrival order — and Aladdin
-   placements must never violate a constraint, with or without IL/DL. *)
+(* Incremental scheduling suite: the scheduler that carries its search
+   across batches must be behaviourally identical to a fresh search per
+   batch — same placements, batch for batch, over a multi-batch replay in
+   every arrival order, also when something else places on the cluster in
+   between — and Aladdin placements must never violate a constraint, with
+   or without IL/DL. *)
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -15,48 +17,90 @@ let waves = Gen.waves
 let sorted_placements = Gen.sorted_placements
 let ids = Gen.ids
 
-(* ---------- equivalence: warm scheduler == from-scratch scheduler ---------- *)
+(* ---------- equivalence: carried search == fresh search per batch ---------- *)
 
-(* 50-batch replay in all four arrival orders: the warm scheduler (carried
-   Search + equivalence classes) must reproduce the from-scratch placement
-   sequence exactly, batch for batch. *)
-let test_warm_equals_cold_all_orders () =
+(* The outsider: something other than this scheduler placing on the
+   cluster between batches (a lower ladder rung, the auditor's repair, a
+   cells fix-up, kube). It puts [c] on the highest-id empty machine that
+   admits it. *)
+let outsider_place cl (c : Container.t) =
+  let rec go mid =
+    if mid >= 0 then
+      if
+        (not (Machine.is_used (Cluster.machine cl mid)))
+        && Cluster.admissible cl c mid = Ok ()
+      then (
+        match Cluster.place cl c mid with
+        | Ok () -> ()
+        | Error _ -> Alcotest.fail "outsider: inadmissible placement")
+      else go (mid - 1)
+  in
+  go (Cluster.n_machines cl - 1)
+
+(* 50-batch replay in every arrival order, with and without an outsider
+   placing a held-back container every third batch: the scheduler that
+   carries its search across batches must reproduce, batch for batch, a
+   reference that builds a fresh search per batch ([schedule_raw] inside a
+   mark, as the transaction runs it). *)
+let test_carried_equals_fresh_all_orders () =
   let params = { (Alibaba.scaled 0.005) with Alibaba.seed = 7 } in
   let base = Alibaba.generate params in
   let n_machines = machines_for base ~headroom:1.15 in
+  let options = Aladdin.Aladdin_scheduler.default_options in
   List.iter
-    (fun (abbrev, order) ->
-      if order <> Arrival.As_submitted then begin
-        let w = Arrival.apply order base in
-        let cold = Aladdin.Aladdin_scheduler.make () in
-        let warm = Aladdin.Aladdin_scheduler.make_warm () in
-        let cl_cold = fresh_cluster w ~n_machines in
-        let cl_warm = fresh_cluster w ~n_machines in
-        let batch_no = ref 0 in
-        List.iter
-          (fun wave ->
-            incr batch_no;
-            let o_cold = cold.Scheduler.schedule cl_cold wave in
-            let o_warm = warm.Scheduler.schedule cl_warm wave in
-            let ctx what =
-              Printf.sprintf "%s: batch %d: %s" abbrev !batch_no what
-            in
-            if o_cold.Scheduler.placed <> o_warm.Scheduler.placed then
-              Alcotest.fail (ctx "placements differ");
-            if
-              ids o_cold.Scheduler.undeployed
-              <> ids o_warm.Scheduler.undeployed
-            then Alcotest.fail (ctx "undeployed differ");
-            check int (ctx "migrations") o_cold.Scheduler.migrations
-              o_warm.Scheduler.migrations;
-            check int (ctx "preemptions") o_cold.Scheduler.preemptions
-              o_warm.Scheduler.preemptions;
-            if sorted_placements cl_cold <> sorted_placements cl_warm then
-              Alcotest.fail (ctx "cluster states diverged"))
-          (waves w.Workload.containers ~n_batches:50);
-        check bool (abbrev ^ ": replay ran batches") true (!batch_no >= 2)
-      end)
-    Arrival.all
+    (fun outsider ->
+      List.iter
+        (fun (abbrev, order) ->
+          let w = Arrival.apply order base in
+          (* Every 20th container is held back for the outsider. *)
+          let all = Array.to_list w.Workload.containers in
+          let held = ref (List.filteri (fun i _ -> i mod 20 = 19) all) in
+          let scheduled =
+            Array.of_list (List.filteri (fun i _ -> i mod 20 <> 19) all)
+          in
+          let subject = Aladdin.Aladdin_scheduler.make () in
+          let cl_ref = fresh_cluster w ~n_machines in
+          let cl_sub = fresh_cluster w ~n_machines in
+          let batch_no = ref 0 in
+          List.iter
+            (fun wave ->
+              incr batch_no;
+              (if outsider && !batch_no mod 3 = 0 then
+                 match !held with
+                 | c :: rest ->
+                     held := rest;
+                     outsider_place cl_ref c;
+                     outsider_place cl_sub c
+                 | [] -> ());
+              let o_ref =
+                let m = Cluster.mark cl_ref in
+                Fun.protect
+                  ~finally:(fun () -> Cluster.release cl_ref m)
+                  (fun () ->
+                    Aladdin.Aladdin_scheduler.schedule_raw options cl_ref wave)
+              in
+              let o_sub = subject.Scheduler.schedule cl_sub wave in
+              let ctx what =
+                Printf.sprintf "%s%s: batch %d: %s" abbrev
+                  (if outsider then " +outsider" else "")
+                  !batch_no what
+              in
+              if o_ref.Scheduler.placed <> o_sub.Scheduler.placed then
+                Alcotest.fail (ctx "placements differ");
+              if
+                ids o_ref.Scheduler.undeployed
+                <> ids o_sub.Scheduler.undeployed
+              then Alcotest.fail (ctx "undeployed differ");
+              check int (ctx "migrations") o_ref.Scheduler.migrations
+                o_sub.Scheduler.migrations;
+              check int (ctx "preemptions") o_ref.Scheduler.preemptions
+                o_sub.Scheduler.preemptions;
+              if sorted_placements cl_ref <> sorted_placements cl_sub then
+                Alcotest.fail (ctx "cluster states diverged"))
+            (waves scheduled ~n_batches:50);
+          check bool (abbrev ^ ": replay ran batches") true (!batch_no >= 2))
+        Arrival.all)
+    [ false; true ]
 
 (* ---------- property: placements never violate constraints ---------- *)
 
@@ -89,31 +133,42 @@ let test_no_violations_property () =
 
 (* ---------- refresh: per-batch state matches a fresh create ---------- *)
 
+(* One search refreshed per batch against a fresh create per batch, with
+   an outsider placing a held-back container between batches: both must
+   pick the same machine for every container, since refresh reseeds from
+   the cluster, not from what the search itself placed. *)
 let test_refresh_matches_create_stats () =
   let params = { (Alibaba.scaled 0.002) with Alibaba.seed = 5 } in
   let w = Alibaba.generate params in
   let n_machines = machines_for w ~headroom:1.3 in
   let cl = fresh_cluster w ~n_machines in
-  let wave_list = waves w.Workload.containers ~n_batches:10 in
+  let all = Array.to_list w.Workload.containers in
+  let held = ref (List.filteri (fun i _ -> i mod 10 = 9) all) in
+  let scheduled = Array.of_list (List.filteri (fun i _ -> i mod 10 <> 9) all) in
+  let wave_list = waves scheduled ~n_batches:10 in
   let first = List.hd wave_list in
   let fg0 = Aladdin.Flow_graph.build cl first in
-  let warm_search = Aladdin.Search.create ~eq:true fg0 in
+  let carried = Aladdin.Search.create fg0 in
   List.iter
     (fun wave ->
+      (match !held with
+      | c :: rest ->
+          held := rest;
+          outsider_place cl c
+      | [] -> ());
       let fg = Aladdin.Flow_graph.build cl wave in
-      Aladdin.Search.refresh warm_search fg;
-      let st = Aladdin.Search.stats warm_search in
+      Aladdin.Search.refresh carried fg;
+      let st = Aladdin.Search.stats carried in
       check int "refresh zeroes paths_explored" 0
         st.Aladdin.Search.paths_explored;
       check int "refresh zeroes il_skips" 0 st.Aladdin.Search.il_skips;
       check int "refresh zeroes dl_cuts" 0 st.Aladdin.Search.dl_cuts;
-      check int "refresh zeroes eq_skips" 0 st.Aladdin.Search.eq_skips;
       let fresh = Aladdin.Search.create fg in
       (* identical machine choice for every container of the batch, and the
          same placements applied to the shared cluster *)
       Array.iter
         (fun c ->
-          let a = Aladdin.Search.find_machine warm_search c in
+          let a = Aladdin.Search.find_machine carried c in
           let b = Aladdin.Search.find_machine fresh c in
           check bool "same machine choice" true (a = b);
           match a with
@@ -121,7 +176,7 @@ let test_refresh_matches_create_stats () =
               (match Cluster.place cl c mid with
               | Ok () -> ()
               | Error _ -> Alcotest.fail "refresh: inadmissible placement");
-              Aladdin.Search.note_placement warm_search mid;
+              Aladdin.Search.note_placement carried mid;
               Aladdin.Search.note_placement fresh mid
           | None -> ())
         wave)
@@ -132,8 +187,7 @@ let () =
     [
       ( "equivalence",
         [
-          Alcotest.test_case "warm scheduler = from-scratch (CHP/CLP/CLA/CSA)"
-            `Quick test_warm_equals_cold_all_orders;
+          Alcotest.test_case "carried search = fresh, +outsider" `Quick test_carried_equals_fresh_all_orders;
           Alcotest.test_case "search refresh = fresh create" `Quick
             test_refresh_matches_create_stats;
         ] );
