@@ -27,17 +27,15 @@
 let budget_s = float_of_int (Engine.Env.int "ALADDIN_FAULT_SMOKE_SECS" 5)
 let base_seed = Engine.Env.int "ALADDIN_FAULT_SMOKE_SEED" 1337
 
-(* The stack knobs (fault rate, ladder deadline, solver pin) come from the
-   engine's one env parser; this driver's defaults are deliberately hot —
+(* The stack knobs (ladder deadline, solver pin) come from the engine's
+   one env parser; the fault rate is this driver's own knob, since no
+   stack installs the fault harness. The defaults are deliberately hot —
    a 0.3 fault rate and a 0.05 ms deadline so the recovery machinery and
    the degradation ladder actually fire. *)
 let base_spec =
-  Engine.Stack.of_env
-    ~base:
-      { Engine.Stack.default with fault_rate = 0.3; deadline_ms = 0.05 }
-    ()
+  Engine.Stack.of_env ~base:{ Engine.Stack.default with deadline_ms = 0.05 } ()
 
-let rate = base_spec.Engine.Stack.fault_rate
+let rate = Engine.Env.float "ALADDIN_FAULT_RATE" 0.3
 let deadline_ms = base_spec.Engine.Stack.deadline_ms
 
 (* Middleware-free spec of one kind: the replay/baseline/journal

@@ -37,6 +37,7 @@ let name_of_options o =
   in
   "Aladdin" ^ opt ^ base
 
+let c_stuck_skips = Obs.counter "aladdin.stuck_skips"
 let last_stats : Search.stats option ref = ref None
 let last_search_stats () = !last_stats
 
@@ -76,15 +77,24 @@ let schedule_batch ~carry options cluster batch =
   let queue = Queue.create () in
   Array.iter (fun c -> Queue.push c queue) order;
   let requeue_count : (Container.id, int) Hashtbl.t = Hashtbl.create 64 in
+  (* Stuck memo: (app, demand, priority) -> the cluster version at which
+     both planners last failed for that key. A failed plan of either
+     planner leaves the cluster untouched, and both read only the
+     cluster, the key, the batch's weights and the options; any place,
+     remove or offline bumps the version. So a container that misses in
+     search while its key maps to the current version would fail both
+     planners again, and goes undeployed without calling them. *)
+  let stuck = Hashtbl.create 16 in
+  let stuck_key (c : Container.t) = (c.app, c.demand, c.priority) in
   let undeployed = ref [] in
   let migrations = ref 0 in
   let preemptions = ref 0 in
   let rounds = ref 0 in
   while not (Queue.is_empty queue) do
     incr rounds;
-    (* Cooperative deadline at round granularity: the per-container work
-       below (search descent, migration planning) has no solver hot loop
-       of its own to tick, and rounds are coarse enough to sample the wall
+    (* Cooperative deadline at round granularity: the search descent has
+       no solver hot loop of its own to tick (the planners tick once per
+       machine they try), and rounds are coarse enough to sample the wall
        clock every time. Expired is deliberately NOT in [recoverable], so
        it passes through the batch transaction to the ladder middleware. *)
     Flownet.Deadline.check_ambient "aladdin.schedule_batch";
@@ -108,6 +118,11 @@ let schedule_batch ~carry options cluster batch =
     in
     match Search.find_machine search c with
     | Some mid -> place_on mid
+    | None
+      when Hashtbl.find_opt stuck (stuck_key c)
+           = Some (Cluster.version cluster) ->
+        Obs.incr c_stuck_skips;
+        undeployed := c :: !undeployed
     | None -> (
         let migrated =
           if options.migration then
@@ -151,7 +166,10 @@ let schedule_batch ~carry options cluster batch =
               | None -> false
             else false
           in
-          if not preempted then undeployed := c :: !undeployed)
+          if not preempted then begin
+            Hashtbl.replace stuck (stuck_key c) (Cluster.version cluster);
+            undeployed := c :: !undeployed
+          end)
   done;
   (* A copy: a carried search reuses its record for the next batch. *)
   let st = Search.stats search in

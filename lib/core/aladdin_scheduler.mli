@@ -43,6 +43,12 @@ val make : ?options:options -> unit -> Scheduler.t
     tiered network for the batch, orders containers by weighted magnitude
     (Eq. 9) and augments one impartible container-flow at a time.
 
+    A container that misses in search goes to migration, then preemption.
+    Within a batch it skips both ([aladdin.stuck_skips]) when a container
+    of the same app, demand and priority already failed both at the
+    current {!Cluster.version}: failed plans leave the cluster untouched,
+    so they would fail again.
+
     The scheduler carries one {!Search.t} across batches, bound to the
     last cluster it scheduled (compared physically; another cluster gets a
     fresh search). Each batch {!Search.refresh}es it, which reseeds it

@@ -15,14 +15,9 @@ let blockers cluster app mid =
 
 (* Per-call index of admissible machines. Admission depends on a
    container's app and demand only, so one entry per (app, demand) holds
-   the ascending machines that admitted it when the migration call began.
-   Every plan that fails restores the cluster (moves rolled back, a failed
-   relocation put back), so between plans the entries stay exact. Inside
-   a plan, placements only take admissibility away from machines other
-   than the source, which is never a target: an entry is then a superset
-   of the admissible machines, and re-checking its members in order finds
-   the machine a full scan would. Entries must therefore be filled while
-   the cluster is in its call-start state — before a plan's first move. *)
+   the ascending machines that admit it. Plans are made without touching
+   the cluster and the first complete one ends the call, so every entry
+   stays exact for the whole call, whenever it is filled. *)
 type index = {
   cluster : Cluster.t;
   max_free : Resource.t option;
@@ -47,9 +42,9 @@ let index_create cluster =
     entries = Hashtbl.create 16;
   }
 
-(* Machines admitting [b]'s app and demand, ascending, as of call start. A
-   demand above the largest free amount in some dimension fits nowhere,
-   which on a full cluster answers most entries without a scan. *)
+(* Machines admitting [b]'s app and demand, ascending. A demand above
+   the largest free amount in some dimension fits nowhere, which on a
+   full cluster answers most entries without a scan. *)
 let targets idx (b : Container.t) =
   let key = (b.Container.app, b.Container.demand) in
   match Hashtbl.find_opt idx.entries key with
@@ -70,37 +65,29 @@ let targets idx (b : Container.t) =
       Hashtbl.add idx.entries key l;
       l
 
-(* Try to move [b] to the first machine of [candidates] (its index entry)
-   that admits it now, other than [forbidden]. The container is removed
-   first so its own blacklist entries don't block the re-placement. *)
-let relocate cluster (b : Container.t) candidates ~forbidden =
-  Cluster.remove cluster b.Container.id;
-  let rec scan = function
-    | [] -> None
-    | mid :: rest ->
-        if mid <> forbidden && Cluster.admissible cluster b mid = Ok () then
-          match Cluster.place cluster b mid with
-          | Ok () -> Some mid
-          | Error _ ->
-              (* Admissible but denied: the machine changed between the
-                 check and the placement — keep scanning, another machine
-                 may do. *)
-              scan rest
-        else scan rest
-  in
-  match scan candidates with
-  | Some mid -> Some mid
-  | None ->
-      (* Roll back: put it where it was. The spot was just vacated, so only
-         a cluster corrupted under our feet can deny this — typed error so
-         the batch driver can reject and restore. *)
-      (match Cluster.place ~force:true cluster b forbidden with
-      | Ok () -> ()
-      | Error _ ->
-          Aladdin_error.raise_error
-            (Aladdin_error.Placement_failed
-               { container = b.Container.id; machine = forbidden }));
-      None
+(* Where victim [b] goes, planned against the cluster as the call found
+   it: the first machine of its index entry, other than the [source], with
+   room for [b] on top of the earlier victims of this plan sent there
+   ([sent]) and no conflict with their apps. Exactly the machine a
+   relocation would find with those earlier moves applied. *)
+let destination idx (b : Container.t) ~source sent =
+  let cs = Cluster.constraints idx.cluster in
+  List.find_opt
+    (fun dst ->
+      dst <> source
+      &&
+      let there = List.filter (fun mv -> mv.to_machine = dst) sent in
+      List.for_all
+        (fun mv ->
+          not (Constraint_set.conflict cs mv.container.Container.app b.app))
+        there
+      && Resource.fits
+           ~demand:
+             (List.fold_left
+                (fun acc mv -> Resource.add acc mv.container.Container.demand)
+                b.Container.demand there)
+           ~within:(Machine.free (Cluster.machine idx.cluster dst)))
+    (targets idx b)
 
 (* Victims whose departure makes [c] admissible on [mid]: every deployed
    container whose app conflicts with [c]'s, plus — when capacity is still
@@ -153,57 +140,45 @@ let victim_set idx (c : Container.t) mid ~max_moves =
     extend freed [] (List.length conflicting) others
   end
 
-let rollback cluster moves =
+(* Apply a complete plan's moves in order. Each destination was planned
+   to admit its victim after the moves before it, so only a cluster
+   corrupted under our feet can deny one — typed error, handled by the
+   batch-level restore. *)
+let apply cluster moves =
   List.iter
     (fun mv ->
       Cluster.remove cluster mv.container.Container.id;
-      match Cluster.place ~force:true cluster mv.container mv.from_machine with
+      match Cluster.place cluster mv.container mv.to_machine with
       | Ok () -> ()
       | Error _ ->
-          (* The move's source slot was freed by the move itself, so a
-             denial here means the cluster is inconsistent — typed error,
-             handled by the batch-level restore. *)
           Aladdin_error.raise_error
             (Aladdin_error.Placement_failed
-               {
-                 container = mv.container.Container.id;
-                 machine = mv.from_machine;
-               }))
+               { container = mv.container.Container.id;
+                 machine = mv.to_machine }))
     moves
 
+(* The victim set holds every container conflicting with [c] and frees
+   enough capacity for it, so once its victims leave [c] is admissible on
+   [mid]. A plan is applied only when every victim has a destination: a
+   failed plan never mutates the cluster. *)
 let try_machine idx (c : Container.t) mid ~max_moves =
-  let cluster = idx.cluster in
-  match Cluster.admissible cluster c mid with
+  match Cluster.admissible idx.cluster c mid with
   | Ok () -> Some { target = mid; moves = [] } (* nothing to do *)
   | Error (Cluster.No_capacity | Cluster.Blacklisted _) -> (
-      match victim_set idx c mid ~max_moves with
+      let rec plan sent = function
+        | [] -> Some (List.rev sent)
+        | b :: rest -> (
+            match destination idx b ~source:mid sent with
+            | Some to_machine ->
+                let mv = { container = b; from_machine = mid; to_machine } in
+                plan (mv :: sent) rest
+            | None -> None)
+      in
+      match Option.bind (victim_set idx c mid ~max_moves) (plan []) with
       | None -> None
-      | Some victims ->
-          (* Look every victim's targets up now, while the cluster is still
-             as the call found it: the first move would otherwise leak into
-             an entry filled later (conflict-only victim sets reach here
-             without [has_target] having filled them). *)
-          let victims = List.map (fun b -> (b, targets idx b)) victims in
-          let rec move_all done_moves = function
-            | [] -> Some done_moves
-            | (b, candidates) :: rest -> (
-                match relocate cluster b candidates ~forbidden:mid with
-                | Some dst ->
-                    move_all
-                      ({ container = b; from_machine = mid; to_machine = dst }
-                       :: done_moves)
-                      rest
-                | None ->
-                    rollback cluster done_moves;
-                    None)
-          in
-          (match move_all [] victims with
-          | Some moves when Cluster.admissible cluster c mid = Ok () ->
-              Some { target = mid; moves = List.rev moves }
-          | Some moves ->
-              rollback cluster moves;
-              None
-          | None -> None))
+      | Some moves ->
+          apply idx.cluster moves;
+          Some { target = mid; moves })
 
 let find_and_apply_migration cluster c ~max_moves =
   let n = Cluster.n_machines cluster in
@@ -211,14 +186,13 @@ let find_and_apply_migration cluster c ~max_moves =
   let rec scan mid =
     if mid >= n then None
     else if Cluster.is_offline cluster mid then scan (mid + 1)
-    else
+    else begin
+      Flownet.Deadline.tick_ambient "migration.plan";
+      (* A plan without moves means the machine was admissible all along. *)
       match try_machine idx c mid ~max_moves with
-      | Some plan when plan.moves <> [] -> Some plan
-      | Some plan ->
-          (* No moves needed means the machine was admissible all along;
-             treat as a trivial plan. *)
-          Some plan
       | None -> scan (mid + 1)
+      | plan -> plan
+    end
   in
   scan 0
 
@@ -292,12 +266,14 @@ let find_and_apply_preemption cluster weights (c : Container.t) =
   for mid = 0 to n - 1 do
     (* Offline machines admit nothing: a drained one would otherwise win
        with zero evictions and then fail the admission check below. *)
-    if not (Cluster.is_offline cluster mid) then
+    if not (Cluster.is_offline cluster mid) then begin
+      Flownet.Deadline.tick_ambient "preemption.plan";
       match candidate mid ~bound:!bound with
       | Some ev when List.length ev < !bound ->
           best := Some (mid, ev);
           bound := List.length ev
       | _ -> ()
+    end
   done;
   match !best with
   | None -> None

@@ -24,8 +24,11 @@ val find_and_apply_migration :
   Cluster.t -> Container.t -> max_moves:int -> migration_plan option
 (** Searches online machines in id order; applies the first consistent
     plan (moves executed, the target left free for the caller to place
-    into). Plans that fail mid-way are rolled back. Returns the applied
-    plan. *)
+    into). Every plan is made against the cluster as the call found it
+    and applied only once each victim has a destination, so a failed
+    call leaves the cluster untouched (no mutation, no {!Cluster.version}
+    bump). Ticks the ambient deadline ([migration.plan]) once per machine
+    tried. Returns the applied plan. *)
 
 type preemption_plan = {
   target_machine : Machine.id;
@@ -40,7 +43,9 @@ val find_and_apply_preemption :
 (** Evicts the fewest strictly-lower-weighted containers that make the
     container admissible on some online machine (ties: the lowest id).
     Evicted containers are removed from the cluster; the caller re-queues
-    them. *)
+    them. When no machine has an eviction list, the call returns [None]
+    without touching the cluster. Ticks
+    the ambient deadline ([preemption.plan]) once per machine tried. *)
 
 val repair_placement :
   ?max_moves:int -> Cluster.t -> Container.t -> Machine.id option

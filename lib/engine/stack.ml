@@ -34,7 +34,6 @@ type spec = {
   deadline_ms : float;
   ladder_rungs : string list option;
   audit : bool;
-  fault_rate : float;
   serve : serve option;
 }
 
@@ -57,7 +56,6 @@ let default =
     deadline_ms = 0.;
     ladder_rungs = None;
     audit = false;
-    fault_rate = 0.;
     serve = None;
   }
 
@@ -182,11 +180,6 @@ let of_env ?(base = default) () =
       { spec with ladder_rungs = Some (Flownet.Registry.rungs_of_env ()) }
     else spec
   in
-  let spec =
-    match Env.float_opt "ALADDIN_FAULT_RATE" with
-    | Some r -> { spec with fault_rate = r }
-    | None -> spec
-  in
   spec
 
 let serve_env_serve () =
@@ -268,9 +261,6 @@ let of_args ?(base = default) args =
         else go { spec with ladder_rungs = Some rungs } rest
     | "--audit" :: rest -> go { spec with audit = true } rest
     | "--no-audit" :: rest -> go { spec with audit = false } rest
-    | "--fault-rate" :: v :: rest ->
-        float_arg "--fault-rate" v (fun r ->
-            go { spec with fault_rate = r } rest)
     | "--serve" :: rest -> go (with_serve spec Fun.id) rest
     | "--serve-machines" :: v :: rest ->
         int_arg "--serve-machines" v (fun n ->
@@ -316,7 +306,7 @@ let of_args ?(base = default) args =
       when List.mem flag
              [
                "--sched"; "--solver"; "--dijkstra"; "--cells"; "--cells-mode";
-               "--deadline-ms"; "--ladder"; "--fault-rate";
+               "--deadline-ms"; "--ladder";
                "--serve-machines"; "--supervise-retries";
                "--supervise-threshold"; "--supervise-cooldown";
                "--supervise-timeout-ms"; "--supervise-backoff-ms";

@@ -55,9 +55,6 @@ type spec = {
   deadline_ms : float;  (** > 0 wraps the stack in the deadline ladder *)
   ladder_rungs : string list option;
   audit : bool;  (** wrap outermost in {!Audit.wrap} with repair *)
-  fault_rate : float;
-      (** arms nothing by itself: bin/fault_smoke reads it as the
-          per-injection-point rate of the fault harness it installs *)
   (* serving front end *)
   serve : serve option;
 }
@@ -83,7 +80,7 @@ val of_env : ?base:spec -> unit -> spec
     [ALADDIN_DIJKSTRA], [ALADDIN_CELLS] (last entry),
     [ALADDIN_CELLS_MODE], [ALADDIN_DEADLINE_MS] (also arms {!audit}, as
     the bench always audited deadline-bounded runs), [ALADDIN_LADDER],
-    [ALADDIN_FAULT_RATE], and [ALADDIN_SUPERVISE]
+    and [ALADDIN_SUPERVISE]
     (any [ALADDIN_SUPERVISE*] knob implies supervision on, config from
     {!Cells.Supervisor.config_of_env}). Unset variables leave [base]
     untouched. *)
@@ -91,7 +88,7 @@ val of_env : ?base:spec -> unit -> spec
 val of_args : ?base:spec -> string list -> (spec, string) result
 (** CLI form of {!of_env}: [--sched NAME --solver NAME --dijkstra
     auto|heap|dial --cells N --cells-mode auto|domains|sequential
-    --deadline-ms F --ladder r1,r2 --audit --fault-rate F
+    --deadline-ms F --ladder r1,r2 --audit
     --serve --serve-machines N --supervise --supervise-retries N
     --supervise-threshold N --supervise-cooldown N
     --supervise-timeout-ms F --supervise-backoff-ms F]. [--serve]

@@ -462,14 +462,16 @@ let test_preemption_skips_offline () =
 
 (* ---------- migration planner ≡ scan-based reference ---------- *)
 
-(* Everything the planners may touch, in the machines' container order. *)
+(* Everything the planners may touch: each machine's containers as an
+   id-sorted set, and its free vector. *)
 let machine_state cl =
   Array.to_list
     (Array.map
        (fun m ->
-         ( List.map
-             (fun (c : Container.t) -> c.Container.id)
-             (Machine.containers m),
+         ( List.sort Int.compare
+             (List.map
+                (fun (c : Container.t) -> c.Container.id)
+                (Machine.containers m)),
            Resource.to_array (Machine.free m) ))
        (Cluster.machines cl))
 
@@ -495,30 +497,59 @@ let plan_step ~migrate ~preempt cl weights ((c : Container.t), max_moves) =
           Preempted plan
       | None -> Stuck)
 
-(* Run [queries] through both planners on twin clusters from [build];
-   every step must give the same plan and the same machine states. *)
+(* Per call: twin clusters from [build] are advanced through queries
+   [0..i-1] by the reference on both, then query [i] runs through the fast
+   planners on one and the reference on the other; the plans and the
+   machine states must agree. Both twins share their whole history, so
+   the victim and tie orders they read from each machine's container
+   table agree too. The reference's failed migration plans remove and
+   re-place victims, which moves them within that table, and preemption
+   breaks ties in that order: after a failed migration, preemption is
+   therefore compared on a fresh pair of twins. For the same reason a
+   sequence run (the fast planners on one twin throughout) would diverge
+   from the reference on ties. *)
 let same_as_reference build weights queries =
-  let fast = build () and slow = build () in
-  List.for_all
-    (fun q ->
-      let a =
-        plan_step ~migrate:Aladdin.Migration.find_and_apply_migration
-          ~preempt:Aladdin.Migration.find_and_apply_preemption fast weights q
-      in
-      let b =
-        plan_step ~migrate:Ref_migration.find_and_apply_migration
-          ~preempt:Ref_migration.find_and_apply_preemption slow weights q
-      in
-      a = b && machine_state fast = machine_state slow)
-    queries
+  let twins prefix =
+    let fast = build () and slow = build () in
+    List.iter
+      (fun q ->
+        List.iter
+          (fun cl ->
+            ignore
+              (plan_step ~migrate:Ref_migration.find_and_apply_migration
+                 ~preempt:Ref_migration.find_and_apply_preemption cl weights q))
+          [ fast; slow ])
+      (List.rev prefix);
+    (fast, slow)
+  in
+  let same_call prefix ((c : Container.t), max_moves) =
+    let fast, slow = twins prefix in
+    match
+      ( Aladdin.Migration.find_and_apply_migration fast c ~max_moves,
+        Ref_migration.find_and_apply_migration slow c ~max_moves )
+    with
+    | Some a, Some b -> a = b && machine_state fast = machine_state slow
+    | None, None ->
+        machine_state fast = machine_state slow
+        &&
+        let fast, slow = twins prefix in
+        Aladdin.Migration.find_and_apply_preemption fast weights c
+        = Ref_migration.find_and_apply_preemption slow weights c
+        && machine_state fast = machine_state slow
+    | _ -> false
+  in
+  let rec from prefix = function
+    | [] -> true
+    | q :: rest -> same_call prefix q && from (q :: prefix) rest
+  in
+  from [] queries
 
 (* A conflict-only victim set whose second victim's targets are first
-   needed by the relocation. Machine 0 holds Y (app 1) and W (app 2),
-   both conflicting with X (app 0); machine 2 has room for one of them
-   and is the only target of either. Moving Y there dooms W's relocation,
-   so the plan on machine 0 rolls back; machine 1's plan then needs W's
-   targets as the call found them (machine 2), not as they were with Y
-   moved. *)
+   needed while planning. Machine 0 holds Y (app 1) and W (app 2), both
+   conflicting with X (app 0); machine 2 has room for one of them and is
+   the only target of either. Sending Y there leaves W nowhere, so the
+   plan on machine 0 fails; machine 1's plan then needs W's targets as
+   the call found them (machine 2), not as if Y had moved. *)
 let test_migration_targets_before_first_move () =
   let apps =
     [|
@@ -655,6 +686,39 @@ let prop_migration_matches_reference =
       let build, weights, queries = random_migration_case seed in
       same_as_reference build weights queries)
 
+(* A failed migration call is read-only: under an open mark, neither the
+   cluster's version nor its mutation log moves. Queries that do find a
+   plan (or a preemption) advance the cluster, so later ones start from
+   varied states. *)
+let prop_failed_migration_read_only =
+  QCheck.Test.make ~count:500 ~name:"failed migration leaves the cluster untouched"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let build, weights, queries = random_migration_case seed in
+      let cl = build () in
+      let m = Cluster.mark cl in
+      let ok =
+        List.for_all
+          (fun ((c : Container.t), max_moves) ->
+            let version = Cluster.version cl and logged = Cluster.log_length cl in
+            match Aladdin.Migration.find_and_apply_migration cl c ~max_moves with
+            | Some plan ->
+                ignore (Cluster.place cl c plan.Aladdin.Migration.target);
+                true
+            | None ->
+                let untouched =
+                  Cluster.version cl = version && Cluster.log_length cl = logged
+                in
+                (match Aladdin.Migration.find_and_apply_preemption cl weights c with
+                | Some plan ->
+                    ignore (Cluster.place cl c plan.Aladdin.Migration.target_machine)
+                | None -> ());
+                untouched)
+          queries
+      in
+      Cluster.release cl m;
+      ok)
+
 (* ---------- end-to-end scheduler invariants ---------- *)
 
 let random_workload_gen =
@@ -740,36 +804,103 @@ let test_placement_identity_seed42 () =
 (* Golden run of the saturated path: a small trace in low-priority-first
    (CLP) order on 30% of the machines its CPU demand fills, in batches of
    25, so most containers go through migration and preemption planning.
-   The fingerprint and work counts were captured from the machine-by-
-   machine scan planners; faster planning must not move any of them. If
-   an intentional algorithm change does, re-capture and update. *)
-let test_saturated_identity () =
+   The work counts were captured from the machine-by-machine scan
+   planners; faster planning must not move them. The fingerprint was
+   re-captured once read-only migration planning landed: the scan
+   planners' failed plans removed and re-placed victims, which reordered
+   each machine's container table, and later victim and preemption ties
+   read that order (-3606171233552239721 before). If an intentional
+   algorithm change moves any of them, re-capture and update. *)
+let saturated_trace ?(order = Arrival.Low_priority_first) ~scale ~seed ~fill
+    () =
   let w =
-    Arrival.apply Arrival.Low_priority_first
-      (Alibaba.generate { (Alibaba.scaled 0.005) with Alibaba.seed = 42 })
+    Arrival.apply order
+      (Alibaba.generate { (Alibaba.scaled scale) with Alibaba.seed })
   in
   let total = Resource.get (Workload.total_demand w) Resource.cpu_dim in
   let per = Resource.get w.Workload.machine_capacity Resource.cpu_dim in
   let n_machines =
-    int_of_float (ceil (0.3 *. float_of_int total /. float_of_int per))
+    max 2 (int_of_float (ceil (fill *. float_of_int total /. float_of_int per)))
   in
-  let cl = Gen.fresh_cluster w ~n_machines in
+  (w, Gen.fresh_cluster w ~n_machines)
+
+let batches_of ~size (w : Workload.t) =
+  let n = Array.length w.Workload.containers in
+  List.init ((n + size - 1) / size) (fun k ->
+      Array.sub w.Workload.containers (k * size) (min size (n - (k * size))))
+
+let c_stuck_skips = Obs.counter "aladdin.stuck_skips"
+
+let test_saturated_identity () =
+  let w, cl = saturated_trace ~scale:0.005 ~seed:42 ~fill:0.3 () in
   let sched = Aladdin.Aladdin_scheduler.make () in
-  let containers = w.Workload.containers in
-  let n = Array.length containers in
-  let migrations = ref 0 and preemptions = ref 0 and i = ref 0 in
-  while !i < n do
-    let len = min 25 (n - !i) in
-    let o = sched.Scheduler.schedule cl (Array.sub containers !i len) in
-    migrations := !migrations + o.Scheduler.migrations;
-    preemptions := !preemptions + o.Scheduler.preemptions;
-    i := !i + len
-  done;
+  let skips = Obs.count c_stuck_skips in
+  let migrations = ref 0 and preemptions = ref 0 in
+  List.iter
+    (fun batch ->
+      let o = sched.Scheduler.schedule cl batch in
+      migrations := !migrations + o.Scheduler.migrations;
+      preemptions := !preemptions + o.Scheduler.preemptions)
+    (batches_of ~size:25 w);
   check int "placed" 150 (Cluster.n_placed cl);
   check int "migrations" 63 !migrations;
   check int "preemptions" 170 !preemptions;
-  check int "placement fingerprint" (-3606171233552239721)
-    (Journal.placement_fingerprint (Cluster.placements cl))
+  check int "placement fingerprint" 1609778878433942861
+    (Journal.placement_fingerprint (Cluster.placements cl));
+  check bool "the stuck memo skipped planner calls" true
+    (Obs.count c_stuck_skips > skips)
+
+(* The stuck memo skips only planner calls that would fail: on small
+   saturated traces (random mix seed, arrival order, fill and batch size),
+   [schedule_raw] gives batch for batch the outcome of [Ref_schedule], the
+   same loop without the memo, and leaves every machine with the same
+   containers in the same order. *)
+let prop_stuck_memo_exact =
+  QCheck.Test.make ~count:25 ~name:"stuck memo = memo-free loop"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let rng = Rng.create seed in
+      let order =
+        snd (List.nth Arrival.all (Rng.int rng (List.length Arrival.all)))
+      in
+      let fill = 0.15 +. (0.35 *. Rng.float rng) in
+      let w, fast = saturated_trace ~order ~scale:0.003 ~seed ~fill () in
+      let slow = Gen.fresh_cluster w ~n_machines:(Cluster.n_machines fast) in
+      let options = Aladdin.Aladdin_scheduler.default_options in
+      let containers cl =
+        Array.map
+          (fun m ->
+            List.map (fun (c : Container.t) -> c.Container.id) (Machine.containers m))
+          (Cluster.machines cl)
+      in
+      List.for_all
+        (fun batch ->
+          let a = Aladdin.Aladdin_scheduler.schedule_raw options fast batch in
+          let b = Ref_schedule.schedule_raw options slow batch in
+          a = b && containers fast = containers slow)
+        (batches_of ~size:(10 + Rng.int rng 30) w))
+
+(* Both planners tick the ambient deadline once per machine they try, so
+   a step budget binds inside a planner call: batch after batch of the
+   saturated trace, each under a budget of twice its size, the first
+   expiry names a planner, not the once-per-round check. *)
+let test_deadline_binds_in_planners () =
+  let w, cl = saturated_trace ~scale:0.005 ~seed:42 ~fill:0.3 () in
+  let options = Aladdin.Aladdin_scheduler.default_options in
+  let rec first_expiry = function
+    | [] -> Alcotest.fail "no batch ran out of its step budget"
+    | batch :: rest -> (
+        let d = Flownet.Deadline.make ~steps:(2 * Array.length batch) () in
+        match
+          Flownet.Deadline.with_ambient d (fun () ->
+              Aladdin.Aladdin_scheduler.schedule_raw options cl batch)
+        with
+        | _ -> first_expiry rest
+        | exception Flownet.Deadline.Expired { site; _ } -> site)
+  in
+  let site = first_expiry (batches_of ~size:25 w) in
+  check bool ("expired in a planner, not at " ^ site) true
+    (List.mem site [ "migration.plan"; "preemption.plan" ])
 
 let test_scheduler_names () =
   check bool "plain" true
@@ -997,6 +1128,7 @@ let () =
           Alcotest.test_case "targets looked up before the first move" `Quick
             test_migration_targets_before_first_move;
           QCheck_alcotest.to_alcotest prop_migration_matches_reference;
+          QCheck_alcotest.to_alcotest prop_failed_migration_read_only;
         ] );
       ( "scheduler",
         [
@@ -1007,6 +1139,9 @@ let () =
             test_placement_identity_seed42;
           Alcotest.test_case "saturated identity (CLP, seed 42)" `Quick
             test_saturated_identity;
+          QCheck_alcotest.to_alcotest prop_stuck_memo_exact;
+          Alcotest.test_case "deadline binds inside the planners" `Quick
+            test_deadline_binds_in_planners;
           Alcotest.test_case "priority under CLP" `Quick
             test_priority_respected_under_clp;
           Alcotest.test_case "cross-batch preemption safety" `Quick

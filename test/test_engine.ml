@@ -196,10 +196,10 @@ let test_of_name () =
   | Error _ -> ());
   (* base fields survive the rename *)
   match
-    Stack.of_name ~base:{ Stack.default with Stack.fault_rate = 0.25 } "medea"
+    Stack.of_name ~base:{ Stack.default with Stack.medea_a = 0.25 } "medea"
   with
   | Ok s ->
-      check bool "base overlay kept" true (s.Stack.fault_rate = 0.25)
+      check bool "base overlay kept" true (s.Stack.medea_a = 0.25)
   | Error e -> Alcotest.fail e
 
 let test_of_args () =
@@ -240,21 +240,23 @@ let test_of_args () =
   | Error _ -> ()
 
 (* Env overlay: set variables override the base, unset ones leave it
-   alone. Only float-typed knobs are exercised so that resetting to ""
-   really clears them (Env.float_opt treats "" as absent). *)
+   alone. Only knobs whose "" value reads as the default are exercised,
+   so that resetting to "" really clears them (Env.float_opt treats "" as
+   absent, and "" names no Dijkstra policy). *)
 let test_of_env () =
   Unix.putenv "ALADDIN_DEADLINE_MS" "1.5";
-  Unix.putenv "ALADDIN_FAULT_RATE" "0.1";
+  Unix.putenv "ALADDIN_DIJKSTRA" "dial";
   let base = { Stack.default with Stack.reschd = 99 } in
   let s = Stack.of_env ~base () in
   check bool "deadline from env" true (s.Stack.deadline_ms = 1.5);
   check bool "deadline arms audit" true s.Stack.audit;
-  check bool "fault rate from env" true (s.Stack.fault_rate = 0.1);
+  check bool "dijkstra from env" true (s.Stack.dijkstra = Some Stack.Dial);
   check int "unset knob keeps base" 99 s.Stack.reschd;
   Unix.putenv "ALADDIN_DEADLINE_MS" "";
-  Unix.putenv "ALADDIN_FAULT_RATE" "";
+  Unix.putenv "ALADDIN_DIJKSTRA" "";
   let s = Stack.of_env ~base () in
   check bool "cleared env keeps base deadline" true (s.Stack.deadline_ms = 0.);
+  check bool "cleared env keeps base dijkstra" true (s.Stack.dijkstra = None);
   check bool "cleared env keeps base audit" true (not s.Stack.audit)
 
 (* ---------- obs epoch scoping ---------- *)
