@@ -86,10 +86,6 @@ let solver =
   let doc = "Pin a Flownet.Registry solver backend by name." in
   Arg.(value & opt (some string) None & info [ "solver" ] ~docv:"NAME" ~doc)
 
-let dijkstra =
-  let doc = "Dijkstra queue policy: auto, heap or dial." in
-  Arg.(value & opt (some string) None & info [ "dijkstra" ] ~docv:"POLICY" ~doc)
-
 let cells =
   let doc = "Cell count for the sharded cells stack." in
   Arg.(value & opt (some int) None & info [ "cells" ] ~docv:"N" ~doc)
@@ -149,14 +145,13 @@ let supervise_backoff_ms =
     & opt (some float) None
     & info [ "supervise-backoff-ms" ] ~docv:"MS" ~doc)
 
-let stack_argv sched solver dijkstra cells cells_mode deadline_ms ladder serve
+let stack_argv sched solver cells cells_mode deadline_ms ladder serve
     supervise sup_retries sup_threshold sup_cooldown sup_timeout sup_backoff =
   let opt flag = function Some v -> [ flag; v ] | None -> [] in
   List.concat
     [
       opt "--sched" sched;
       opt "--solver" solver;
-      opt "--dijkstra" dijkstra;
       opt "--cells" (Option.map string_of_int cells);
       opt "--cells-mode" cells_mode;
       opt "--deadline-ms" (Option.map string_of_float deadline_ms);
@@ -170,11 +165,11 @@ let stack_argv sched solver dijkstra cells cells_mode deadline_ms ladder serve
       opt "--supervise-backoff-ms" (Option.map string_of_float sup_backoff);
     ]
 
-let main ids scale seed data_dir sched solver dijkstra cells cells_mode
+let main ids scale seed data_dir sched solver cells cells_mode
     deadline_ms ladder serve supervise sup_retries sup_threshold sup_cooldown
     sup_timeout sup_backoff =
   let argv =
-    stack_argv sched solver dijkstra cells cells_mode deadline_ms ladder serve
+    stack_argv sched solver cells cells_mode deadline_ms ladder serve
       supervise sup_retries sup_threshold sup_cooldown sup_timeout sup_backoff
   in
   let stack =
@@ -212,8 +207,8 @@ let cmd =
   Cmd.v
     (Cmd.info "experiments" ~doc)
     Term.(
-      const main $ ids $ scale $ seed $ data_dir $ sched $ solver $ dijkstra
-      $ cells $ cells_mode $ deadline_ms $ ladder $ serve_flag
+      const main $ ids $ scale $ seed $ data_dir $ sched $ solver $ cells
+      $ cells_mode $ deadline_ms $ ladder $ serve_flag
       $ supervise_flag $ supervise_retries $ supervise_threshold
       $ supervise_cooldown $ supervise_timeout_ms $ supervise_backoff_ms)
 

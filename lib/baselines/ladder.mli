@@ -1,19 +1,26 @@
-(** Degradation-ladder construction: turns the rung names accepted by
-    [ALADDIN_LADDER] into schedulers and stacks them under
-    {!Scheduler.with_deadline}.
+(** Degradation-ladder construction: turns rung names into schedulers and
+    stacks them under {!Scheduler.with_deadline}.
 
     Rung vocabulary: any {!Flownet.Registry} backend name (["mincost"],
-    ["cost-scaling"], ["dinic"], ["push-relabel"]) runs a Firmament stack
-    pinned to that solver, and ["gokube"] is the Go-Kube greedy scorer —
-    the natural terminal rung, since it never touches a flow network and
-    therefore cannot exhaust a solver budget. *)
-
-val rung : string -> Scheduler.t
-(** Scheduler for one rung name.
-    @raise Invalid_argument on an unknown name. *)
+    ["cost-scaling"]) runs a Firmament stack pinned to that solver, and
+    ["gokube"] is the Go-Kube greedy scorer — the natural terminal rung,
+    since it never touches a flow network and therefore cannot exhaust a
+    solver budget. *)
 
 val default_rungs : string list
-(** {!Flownet.Registry.default_rungs} with ["gokube"] appended. *)
+(** [["mincost"; "cost-scaling"; "gokube"]]: exact first, then the capped
+    approximation, then the solver-free terminal. *)
+
+val rungs_of_string : string -> (string list, string) result
+(** The one rung-name parser, behind [ALADDIN_LADDER], [--ladder] and
+    {!make}: comma-separated names, trimmed, empty ones dropped; nothing
+    left means {!default_rungs}. [Error] names the unknown rungs and lists
+    the known ones (every registry backend, then ["gokube"]). *)
+
+val rungs_of_env : unit -> string list option
+(** {!rungs_of_string} of [ALADDIN_LADDER]; [None] when it is unset or
+    blank.
+    @raise Invalid_argument on an unknown rung. *)
 
 val make :
   ?deadline_ms:float ->
@@ -23,9 +30,9 @@ val make :
   unit ->
   Scheduler.t
 (** The full ladder scheduler: rungs from [?rungs] (default
-    [ALADDIN_LADDER] via {!Flownet.Registry.rungs_of_env} when set,
-    {!default_rungs} — ending on the solver-free ["gokube"] terminal —
-    otherwise), each built by {!rung}, optionally preceded by [?first] —
-    a custom preferred scheduler (e.g. the Aladdin stack itself) that
-    gets the budget's first shot. Deadline, shedding and counters as
-    documented on {!Scheduler.with_deadline}. *)
+    {!rungs_of_env}, else {!default_rungs}), optionally preceded by
+    [?first] — a custom preferred scheduler (e.g. the Aladdin stack
+    itself) that gets the budget's first shot. Deadline, shedding and
+    counters as documented on {!Scheduler.with_deadline}.
+    @raise Invalid_argument on an unknown rung name (checked as by
+    {!rungs_of_string}). *)

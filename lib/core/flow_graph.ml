@@ -82,48 +82,3 @@ let to_dot t =
   done;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let scalar_projection ?(dim = Resource.cpu_dim) t =
-  let nt, na, ng, nr, nn = tiers t in
-  let g = Flownet.Graph.create ~arc_hint:(n_edges t) (n_vertices t) in
-  let source = 0 and sink = 1 in
-  let tv i = 2 + i in
-  let av j = 2 + nt + j in
-  let gv k = 2 + nt + na + k in
-  let rv x = 2 + nt + na + ng + x in
-  let nv y = 2 + nt + na + ng + nr + y in
-  let app_slot = Hashtbl.create na in
-  List.iteri (fun j app -> Hashtbl.replace app_slot app j) t.apps;
-  let units (r : Resource.t) = Resource.get r dim in
-  let topo = Cluster.topology t.cluster in
-  let inf =
-    (* effectively infinite inner capacity: total batch demand *)
-    Array.fold_left
-      (fun acc (c : Container.t) -> acc + units c.Container.demand)
-      1 t.batch
-  in
-  Array.iteri
-    (fun i (c : Container.t) ->
-      let j = Hashtbl.find app_slot c.Container.app in
-      ignore
-        (Flownet.Graph.add_arc g ~src:source ~dst:(tv i)
-           ~cap:(units c.Container.demand) ~cost:0);
-      ignore (Flownet.Graph.add_arc g ~src:(tv i) ~dst:(av j) ~cap:inf ~cost:0))
-    t.batch;
-  List.iteri
-    (fun j _ ->
-      for k = 0 to ng - 1 do
-        ignore (Flownet.Graph.add_arc g ~src:(av j) ~dst:(gv k) ~cap:inf ~cost:0)
-      done)
-    t.apps;
-  for x = 0 to nr - 1 do
-    let k = Topology.group_of_rack topo x in
-    ignore (Flownet.Graph.add_arc g ~src:(gv k) ~dst:(rv x) ~cap:inf ~cost:0)
-  done;
-  for y = 0 to nn - 1 do
-    let x = Topology.rack_of topo y in
-    ignore (Flownet.Graph.add_arc g ~src:(rv x) ~dst:(nv y) ~cap:inf ~cost:0);
-    let free = units (Machine.free (Cluster.machine t.cluster y)) in
-    ignore (Flownet.Graph.add_arc g ~src:(nv y) ~dst:sink ~cap:free ~cost:0)
-  done;
-  (g, source, sink)

@@ -5,9 +5,8 @@
     Application, cluster-group and rack vertices reduce the edge count from
     O(|T|·|N|) to O(|T| + |A|·|G| + |R| + |N|) (§III.A), which is what makes
     sub-second placement feasible at trace scale. The graph is a search
-    structure — capacities stay multidimensional and nonlinear (checked
-    against the live {!Cluster.t} during search) — but it can be projected
-    to a scalar {!Flownet.Graph.t} for analysis. *)
+    structure: capacities stay multidimensional and nonlinear, checked
+    against the live {!Cluster.t} during search. *)
 
 type t
 
@@ -27,11 +26,6 @@ val n_vertices : t -> int
 val n_edges : t -> int
 val naive_edges : t -> int
 (** |T|·|N| — what a flat bipartite network would cost. *)
-
-val scalar_projection : ?dim:int -> t -> Flownet.Graph.t * int * int
-(** CPU-dimension projection as a classic scalar flow network with zero
-    arc costs; returns [(graph, source, sink)]. Its max flow upper-bounds
-    the total demand any schedule can place (used by tests). *)
 
 val to_dot : t -> string
 (** Graphviz rendering of the tiered network (containers collapsed into

@@ -12,8 +12,6 @@ type kind =
   | Gokube
   | Ladder
 
-type dijkstra = Auto | Heap | Dial
-
 type serve = { serve_cfg : Serve.Runner.config; serve_machines : int }
 
 type spec = {
@@ -27,7 +25,6 @@ type spec = {
   medea_b : float;
   medea_c : float;
   solver : string option;
-  dijkstra : dijkstra option;
   cells : int option;
   cells_mode : Cells.Coordinator.mode option;
   supervise : Cells.Supervisor.config option;
@@ -49,7 +46,6 @@ let default =
     medea_b = Medea.default.Medea.weights.Medea.b;
     medea_c = Medea.default.Medea.weights.Medea.c;
     solver = None;
-    dijkstra = None;
     cells = None;
     cells_mode = None;
     supervise = None;
@@ -108,7 +104,7 @@ let of_name ?(base = default) s =
   | "ladder" -> Ok { base with kind = Ladder }
   | name -> (
       (* a registry backend name runs a Firmament stack pinned to that
-         solver, exactly as Ladder.rung / the serving phase always did *)
+         solver, exactly as a ladder rung / the serving phase always did *)
       match Flownet.Registry.find name with
       | Some _ -> Ok { base with kind = Firmament; solver = Some name }
       | None ->
@@ -116,13 +112,6 @@ let of_name ?(base = default) s =
             (Printf.sprintf "unknown scheduler %S (known: %s)" s
                (String.concat ", "
                   (known_names @ Flownet.Registry.names ()))))
-
-let dijkstra_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "heap" -> Some Heap
-  | "dial" -> Some Dial
-  | "auto" -> Some Auto
-  | _ -> None
 
 let mode_of_string s =
   match String.lowercase_ascii (String.trim s) with
@@ -137,11 +126,6 @@ let of_env ?(base = default) () =
     if Env.set "ALADDIN_SOLVER" then
       { spec with solver = Some (Flownet.Registry.env_name ()) }
     else spec
-  in
-  let spec =
-    match Env.string_opt "ALADDIN_DIJKSTRA" with
-    | Some s -> { spec with dijkstra = dijkstra_of_string s }
-    | None -> spec
   in
   let spec =
     if Env.set "ALADDIN_CELLS" then
@@ -175,12 +159,9 @@ let of_env ?(base = default) () =
         { spec with deadline_ms = d; audit = spec.audit || d > 0. }
     | None -> spec
   in
-  let spec =
-    if Env.set "ALADDIN_LADDER" then
-      { spec with ladder_rungs = Some (Flownet.Registry.rungs_of_env ()) }
-    else spec
-  in
-  spec
+  match Ladder.rungs_of_env () with
+  | Some r -> { spec with ladder_rungs = Some r }
+  | None -> spec
 
 let serve_env_serve () =
   {
@@ -188,7 +169,15 @@ let serve_env_serve () =
     serve_machines = Env.int "ALADDIN_SERVE_MACHINES" 500;
   }
 
-let rung_names = lazy (Flownet.Registry.names () @ [ "gokube" ])
+let value_flags =
+  [
+    "--sched"; "--solver"; "--cells"; "--cells-mode"; "--deadline-ms";
+    "--ladder"; "--serve-machines"; "--supervise-retries";
+    "--supervise-threshold"; "--supervise-cooldown"; "--supervise-timeout-ms";
+    "--supervise-backoff-ms";
+  ]
+
+let bare_flags = [ "--audit"; "--no-audit"; "--serve"; "--supervise" ]
 
 let of_args ?(base = default) args =
   let ( let* ) = Result.bind in
@@ -228,12 +217,6 @@ let of_args ?(base = default) args =
             Error
               (Printf.sprintf "--solver: unknown backend %S (known: %s)" v
                  (String.concat ", " (Flownet.Registry.names ()))))
-    | "--dijkstra" :: v :: rest -> (
-        match dijkstra_of_string v with
-        | Some p -> go { spec with dijkstra = Some p } rest
-        | None ->
-            Error
-              (Printf.sprintf "--dijkstra: %S (expected auto|heap|dial)" v))
     | "--cells" :: v :: rest ->
         int_arg "--cells" v (fun n ->
             if n < 1 then Error "--cells: must be >= 1"
@@ -248,17 +231,10 @@ let of_args ?(base = default) args =
     | "--deadline-ms" :: v :: rest ->
         float_arg "--deadline-ms" v (fun d ->
             go { spec with deadline_ms = d; audit = spec.audit || d > 0. } rest)
-    | "--ladder" :: v :: rest ->
-        let rungs = String.split_on_char ',' v |> List.map String.trim in
-        let unknown =
-          List.filter (fun r -> not (List.mem r (Lazy.force rung_names))) rungs
-        in
-        if unknown <> [] then
-          Error
-            (Printf.sprintf "--ladder: unknown rung(s) %s (known: %s)"
-               (String.concat ", " unknown)
-               (String.concat ", " (Lazy.force rung_names)))
-        else go { spec with ladder_rungs = Some rungs } rest
+    | "--ladder" :: v :: rest -> (
+        match Ladder.rungs_of_string v with
+        | Ok rungs -> go { spec with ladder_rungs = Some rungs } rest
+        | Error e -> Error ("--ladder: " ^ e))
     | "--audit" :: rest -> go { spec with audit = true } rest
     | "--no-audit" :: rest -> go { spec with audit = false } rest
     | "--serve" :: rest -> go (with_serve spec Fun.id) rest
@@ -302,17 +278,12 @@ let of_args ?(base = default) args =
               (with_supervise spec (fun sc ->
                    { sc with Cells.Supervisor.backoff_ms = Float.max 0. d }))
               rest)
-    | [ flag ]
-      when List.mem flag
-             [
-               "--sched"; "--solver"; "--dijkstra"; "--cells"; "--cells-mode";
-               "--deadline-ms"; "--ladder";
-               "--serve-machines"; "--supervise-retries";
-               "--supervise-threshold"; "--supervise-cooldown";
-               "--supervise-timeout-ms"; "--supervise-backoff-ms";
-             ] ->
+    | [ flag ] when List.mem flag value_flags ->
         Error (flag ^ " requires a value")
-    | arg :: _ -> Error (Printf.sprintf "unknown stack argument %S" arg)
+    | arg :: _ ->
+        Error
+          (Printf.sprintf "unknown stack argument %S (known: %s)" arg
+             (String.concat ", " (value_flags @ bare_flags)))
   in
   go base args
 
@@ -336,11 +307,6 @@ let aladdin_options spec =
   }
 
 let build spec =
-  (match spec.dijkstra with
-  | Some Auto -> Flownet.Dijkstra.set_queue_policy Flownet.Dijkstra.Auto
-  | Some Heap -> Flownet.Dijkstra.set_queue_policy Flownet.Dijkstra.Force_heap
-  | Some Dial -> Flownet.Dijkstra.set_queue_policy Flownet.Dijkstra.Force_dial
-  | None -> ());
   let base, shutdown, breakdown =
     match spec.kind with
     | Aladdin ->

@@ -19,8 +19,6 @@ type kind =
   | Gokube
   | Ladder  (** the bare degradation ladder, no preferred first rung *)
 
-type dijkstra = Auto | Heap | Dial
-
 type serve = {
   serve_cfg : Serve.Runner.config;
   serve_machines : int;  (** cluster size for the serving sweep *)
@@ -43,7 +41,6 @@ type spec = {
   solver : string option;
       (** pin a {!Flownet.Registry} backend; [None] follows
           [ALADDIN_SOLVER] / the registry default *)
-  dijkstra : dijkstra option;  (** [None] = leave the current policy *)
   (* cells sharding *)
   cells : int option;  (** [None] = {!Cells.Partition.default_cells} *)
   cells_mode : Cells.Coordinator.mode option;
@@ -76,19 +73,19 @@ val of_name : ?base:spec -> string -> (spec, string) result
 
 val of_env : ?base:spec -> unit -> spec
 (** [base] (default {!default}) overlaid with every [ALADDIN_*] stack
-    knob present in the environment: [ALADDIN_SOLVER],
-    [ALADDIN_DIJKSTRA], [ALADDIN_CELLS] (last entry),
-    [ALADDIN_CELLS_MODE], [ALADDIN_DEADLINE_MS] (also arms {!audit}, as
-    the bench always audited deadline-bounded runs), [ALADDIN_LADDER],
-    and [ALADDIN_SUPERVISE]
+    knob present in the environment: [ALADDIN_SOLVER], [ALADDIN_CELLS]
+    (last entry), [ALADDIN_CELLS_MODE], [ALADDIN_DEADLINE_MS] (also arms
+    {!audit}, as the bench always audited deadline-bounded runs),
+    [ALADDIN_LADDER] (via {!Ladder.rungs_of_env}), and [ALADDIN_SUPERVISE]
     (any [ALADDIN_SUPERVISE*] knob implies supervision on, config from
     {!Cells.Supervisor.config_of_env}). Unset variables leave [base]
-    untouched. *)
+    untouched.
+    @raise Invalid_argument on an unknown [ALADDIN_LADDER] rung. *)
 
 val of_args : ?base:spec -> string list -> (spec, string) result
-(** CLI form of {!of_env}: [--sched NAME --solver NAME --dijkstra
-    auto|heap|dial --cells N --cells-mode auto|domains|sequential
-    --deadline-ms F --ladder r1,r2 --audit
+(** CLI form of {!of_env}: [--sched NAME --solver NAME --cells N
+    --cells-mode auto|domains|sequential --deadline-ms F --ladder r1,r2
+    (checked by {!Ladder.rungs_of_string}) --audit
     --serve --serve-machines N --supervise --supervise-retries N
     --supervise-threshold N --supervise-cooldown N
     --supervise-timeout-ms F --supervise-backoff-ms F]. [--serve]

@@ -1,9 +1,8 @@
 (** Cooperative work/wall-clock budgets for the solver hot loops.
 
     A deadline is a mutable budget armed before a solve (or a whole
-    scheduler batch) and ticked cooperatively from every CSR hot loop —
-    SPFA relaxations, Dijkstra pops, Dinic blocking-flow steps,
-    push-relabel discharges, cost-scaling refine passes. When the budget is
+    scheduler batch) and ticked cooperatively from every hot loop. When
+    the budget is
     exhausted the tick raises {!Expired}; solver entry points with a Result
     API convert their own deadline's expiry into the typed
     [Flownet.Error.Deadline_exceeded], while an {e ambient} (installed)
@@ -14,7 +13,18 @@
     and a wall-clock bound. The wall clock is only sampled every
     {!granularity} ticks, so a tick on the hot path is a couple of integer
     operations. Expiries are counted once per deadline under the
-    [deadline.exceeded] {!Obs} counter. *)
+    [deadline.exceeded] {!Obs} counter.
+
+    Tick sites, the [site] an {!Expired} names:
+    - solver loops ({!tick}): [spfa.relax], [dijkstra.pop],
+      [mincost.augment], [mincost.levels], [mincost.blocking_flow],
+      [dinic.levels], [dinic.blocking_flow], [cost_scaling.discharge];
+      [cost_scaling.refine] samples the clock ({!check_now}) once per
+      refine phase;
+    - scheduler loops (ambient): [migration.plan] and [preemption.plan]
+      tick per candidate machine in [Aladdin.Migration];
+      [aladdin.schedule_batch] and [firmament.round] sample the clock once
+      per container and per scheduling round. *)
 
 type t
 

@@ -1,37 +1,5 @@
 type result = { dist : Ia.t; parent : Ia.t }
 
-(* Which priority queue backs the search. [Auto] picks Dial's bucket queue
-   when the graph's cost bound says reduced costs are small integers (the
-   scheduler projections: machine prices in the hundreds), falling back to
-   the binary heap otherwise — and migrates mid-run if a reduced cost
-   overflows the bucket span anyway. *)
-type queue_policy = Auto | Force_heap | Force_dial
-
-let policy_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "heap" -> Force_heap
-  | "dial" -> Force_dial
-  | _ -> Auto
-
-let policy =
-  ref
-    (match Sys.getenv_opt "ALADDIN_DIJKSTRA" with
-    | Some s -> policy_of_string s
-    | None -> Auto)
-
-let set_queue_policy p = policy := p
-let queue_policy () = !policy
-
-(* Auto cutoff on [Graph.max_cost]: arc costs above this make long bucket
-   scans likely, so the heap wins. Reduced costs can still exceed the arc
-   cost bound (potential differences add in); the in-run overflow
-   migration covers that case soundly. *)
-let dial_auto_max_cost = 1 lsl 14
-
-let c_heap_runs = Obs.counter "dijkstra.heap_runs"
-let c_dial_runs = Obs.counter "dijkstra.dial_runs"
-let c_dial_overflows = Obs.counter "dijkstra.dial_overflows"
-
 (* Reusable scratch space: unboxed label vectors sized to the largest graph
    seen, reset between runs by undoing only the previous run's footprint —
    so a run costs O(explored region), not O(vertices), in both time and
@@ -41,7 +9,6 @@ type workspace = {
   mutable parent : Ia.t;
   mutable settled : Ia.t;      (* 0/1 *)
   heap : Heap.t;
-  dial : Dial.t;
   mutable touched : Ia.t;
   mutable n_touched : int;
 }
@@ -52,7 +19,6 @@ let workspace () =
     parent = Ia.empty;
     settled = Ia.empty;
     heap = Heap.create ~capacity:64 ();
-    dial = Dial.create ();
     touched = Ia.empty;
     n_touched = 0;
   }
@@ -75,13 +41,11 @@ let prepare ws n =
       let v = ws.touched.{i} in
       ws.dist.{v} <- max_int;
       ws.parent.{v} <- -1;
-      ws.settled.{v} <- 0;
-      Dial.clear_vertex ws.dial v
+      ws.settled.{v} <- 0
     done;
     ws.n_touched <- 0
   end;
-  Heap.clear ws.heap;
-  Dial.prepare ws.dial n ~start_key:0
+  Heap.clear ws.heap
 
 (* The core search. Returns the settled distance of [stop_at] (max_int when
    it never settled); labels live in the workspace vectors. *)
@@ -92,72 +56,46 @@ let run_ws ws ?(stop_at = -1) ?deadline g ~src ~(potential : Ia.t) =
   let first = Graph.first_out g and arcs = Graph.arc_of g in
   prepare ws n;
   let dist = ws.dist and parent = ws.parent and settled = ws.settled in
-  let heap = ws.heap and dial = ws.dial in
-  let use_dial =
-    ref
-      (match !policy with
-      | Force_dial -> true
-      | Force_heap -> false
-      | Auto -> Graph.max_cost g <= dial_auto_max_cost)
-  in
-  if !use_dial then Obs.incr c_dial_runs else Obs.incr c_heap_runs;
-  let push_q ~key ~value =
-    if !use_dial then begin
-      if not (Dial.insert dial value key) then begin
-        (* Reduced cost outgrew the bucket span: move everything pending
-           into the heap and finish the run there. Keys come out of the
-           drain in order, so the heap inherits a consistent frontier. *)
-        Obs.incr c_dial_overflows;
-        use_dial := false;
-        Dial.drain dial (fun k v -> Heap.push heap ~key:k ~value:v);
-        Heap.push heap ~key ~value
-      end
-    end
-    else Heap.push heap ~key ~value
-  in
+  let heap = ws.heap in
   dist.{src} <- 0;
   touch ws src;
-  push_q ~key:0 ~value:src;
+  Heap.push heap ~key:0 ~value:src;
   let d_stop = ref max_int in
   let continue = ref true in
   while !continue do
     Deadline.tick_opt dl "dijkstra.pop";
-    let popped = if !use_dial then Dial.pop dial else Heap.pop heap in
-    if not popped then continue := false
+    if not (Heap.pop heap) then continue := false
     else begin
-      let d = if !use_dial then Dial.last_key dial else Heap.last_key heap in
-      let u =
-        if !use_dial then Dial.last_value dial else Heap.last_value heap
-      in
-        if settled.{u} = 0 && d = dist.{u} then begin
-          settled.{u} <- 1;
-          if u = stop_at then begin
-            d_stop := d;
-            continue := false
-          end
-          else
-            for i = first.{u} to first.{u + 1} - 1 do
-              let a = arcs.{i} in
-              if Graph.residual g a > 0 then begin
-                let v = Graph.dst g a in
-                if settled.{v} = 0 then begin
-                  let rc =
-                    Inf.add (Inf.add (Graph.cost g a) potential.{u})
-                      (-potential.{v})
-                  in
-                  if rc < 0 then
-                    invalid_arg "Dijkstra.run: negative reduced cost";
-                  let nd = Inf.add d rc in
-                  if nd < dist.{v} then begin
-                    if dist.{v} = max_int then touch ws v;
-                    dist.{v} <- nd;
-                    parent.{v} <- a;
-                    push_q ~key:nd ~value:v
-                  end
+      let d = Heap.last_key heap and u = Heap.last_value heap in
+      if settled.{u} = 0 && d = dist.{u} then begin
+        settled.{u} <- 1;
+        if u = stop_at then begin
+          d_stop := d;
+          continue := false
+        end
+        else
+          for i = first.{u} to first.{u + 1} - 1 do
+            let a = arcs.{i} in
+            if Graph.residual g a > 0 then begin
+              let v = Graph.dst g a in
+              if settled.{v} = 0 then begin
+                let rc =
+                  Inf.add (Inf.add (Graph.cost g a) potential.{u})
+                    (-potential.{v})
+                in
+                if rc < 0 then
+                  invalid_arg "Dijkstra.run: negative reduced cost";
+                let nd = Inf.add d rc in
+                if nd < dist.{v} then begin
+                  if dist.{v} = max_int then touch ws v;
+                  dist.{v} <- nd;
+                  parent.{v} <- a;
+                  Heap.push heap ~key:nd ~value:v
                 end
               end
-            done
-        end
+            end
+          done
+      end
     end
   done;
   !d_stop

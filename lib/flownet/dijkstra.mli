@@ -1,27 +1,15 @@
 (** Dijkstra over the residual graph with Johnson potentials, for the
     min-cost solver's repeated shortest-path phases (all reduced costs are
-    non-negative once potentials are valid).
-
-    Two priority queues back the search: the binary {!Heap} and a Dial's
-    bucket queue ({!Dial}) that wins when reduced costs are small integers
-    (the scheduler projections). {!queue_policy} selects; [Auto] decides
-    per run from {!Graph.max_cost} and migrates from Dial to the heap
-    mid-run if a reduced cost overflows the bucket span. The
-    [ALADDIN_DIJKSTRA] environment variable ([auto] | [heap] | [dial])
-    sets the initial policy. *)
+    non-negative once potentials are valid). The frontier is the binary
+    {!Heap}. *)
 
 type result = {
   dist : Ia.t;    (** reduced-cost distances; max_int if unreachable *)
   parent : Ia.t;
 }
 
-type queue_policy = Auto | Force_heap | Force_dial
-
-val set_queue_policy : queue_policy -> unit
-val queue_policy : unit -> queue_policy
-
 type workspace
-(** Reusable label vectors + both queues. A run resets only its
+(** Reusable label vectors + the heap. A run resets only its
     predecessor's footprint, so repeated runs cost O(explored region) each
     instead of O(vertices) — and allocate zero words once the vectors have
     grown to the graph — the win behind the min-cost solver's phase loop. *)

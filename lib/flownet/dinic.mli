@@ -1,5 +1,5 @@
-(** Dinic's maximum-flow algorithm (level graph + blocking flow), O(V²·E);
-    the solver used at trace scale. *)
+(** Dinic's maximum-flow algorithm (level graph + blocking flow), O(V²·E).
+    {!Cost_scaling} runs it as its first phase. *)
 
 val run : ?deadline:Deadline.t -> ?max_flow:int -> Graph.t -> src:int -> dst:int -> int
 (** Returns the max flow (capped at [max_flow] when given); flows are

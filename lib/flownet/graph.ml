@@ -1,16 +1,13 @@
-(* Flat arc arena with per-vertex singly-linked adjacency (head/next arrays),
-   the classic competitive-programming layout: arc i and arc (i lxor 1) are
-   residual twins. Dynamic arrays grow by doubling.
+(* Flat arc arena: arc i and arc (i lxor 1) are residual twins. Dynamic
+   arrays grow by doubling.
 
-   On top of the linked lists sits an optional *frozen CSR view*: contiguous
-   [first_out]/[arc_of] vectors built by one counting sort over the arena.
-   Solvers freeze the graph once per batch and then walk adjacency as a
-   dense index range instead of chasing [next_] pointers — the hot loops
-   become sequential array reads. The CSR vectors are unboxed Bigarray
-   buffers owned by the graph and re-sorted in place, so a re-freeze after
-   an incremental batch edit allocates nothing. Any topology change (adding
-   or truncating arcs) invalidates the view; flow, capacity and cost
-   updates keep it. *)
+   Adjacency is a *frozen CSR view*: contiguous [first_out]/[arc_of]
+   vectors built by one counting sort over the arena. Solvers freeze the
+   graph at entry and then walk adjacency as a dense index range — the hot
+   loops become sequential array reads. The CSR vectors are unboxed
+   Bigarray buffers owned by the graph and re-sorted in place, so a
+   re-freeze allocates nothing once they fit. Adding an arc invalidates
+   the view; flow updates keep it. *)
 
 type t = {
   n : int;
@@ -19,20 +16,11 @@ type t = {
   mutable cap_ : int array;
   mutable cost_ : int array;
   mutable flow_ : int array;
-  mutable next_ : int array;  (* next arc out of same vertex, -1 ends *)
-  head : int array;           (* first arc out of vertex, -1 if none *)
   mutable src_ : int array;
   mutable csr_m : int;        (* arc count the CSR view was built at; -1 = never *)
   mutable csr_first : Ia.t;   (* n+1 prefix offsets into csr_arcs *)
   mutable csr_arcs : Ia.t;    (* arc ids grouped by source vertex *)
   mutable csr_cursor : Ia.t;  (* counting-sort scratch, reused per freeze *)
-  (* Arcs whose flow went nonzero since the last [reset_flows], as twin-pair
-     base ids (duplicates allowed — zeroing twice is free). Lets the reset
-     cost O(arcs touched by the last solve), not O(arena). *)
-  mutable dirty : int array;
-  mutable n_dirty : int;
-  mutable all_dirty : bool;
-  mutable max_cost_ : int;    (* max |cost| ever stored (never decreases) *)
 }
 
 let c_freezes = Obs.counter "graph.freezes"
@@ -47,22 +35,15 @@ let create ?(arc_hint = 16) n =
     cap_ = Array.make cap 0;
     cost_ = Array.make cap 0;
     flow_ = Array.make cap 0;
-    next_ = Array.make cap (-1);
-    head = Array.make (max n 1) (-1);
     src_ = Array.make cap 0;
     csr_m = -1;
     csr_first = Ia.empty;
     csr_arcs = Ia.empty;
     csr_cursor = Ia.empty;
-    dirty = [||];
-    n_dirty = 0;
-    all_dirty = false;
-    max_cost_ = 0;
   }
 
 let n_vertices g = g.n
 let n_arcs g = g.m
-let max_cost g = g.max_cost_
 
 let grow g =
   let old = Array.length g.dst_ in
@@ -76,7 +57,6 @@ let grow g =
   g.cap_ <- extend g.cap_ 0;
   g.cost_ <- extend g.cost_ 0;
   g.flow_ <- extend g.flow_ 0;
-  g.next_ <- extend g.next_ (-1);
   g.src_ <- extend g.src_ 0
 
 let push_raw g ~src ~dst ~cap ~cost =
@@ -86,12 +66,9 @@ let push_raw g ~src ~dst ~cap ~cost =
   g.cap_.(id) <- cap;
   g.cost_.(id) <- cost;
   g.flow_.(id) <- 0;
-  g.next_.(id) <- g.head.(src);
   g.src_.(id) <- src;
-  g.head.(src) <- id;
   g.m <- id + 1;
   g.csr_m <- -1;
-  if abs cost > g.max_cost_ then g.max_cost_ <- abs cost;
   id
 
 let add_arc g ~src ~dst ~cap ~cost =
@@ -150,90 +127,21 @@ let residual g a = check_arc g a; g.cap_.(a) - g.flow_.(a)
 let rev a = a lxor 1
 let is_forward a = a land 1 = 0
 
-let mark_dirty g a =
-  if not g.all_dirty then begin
-    (* Past half the arena a per-arc list stops paying for itself — the
-       blanket fill is a single memset over the same memory. *)
-    if g.n_dirty >= Array.length g.dirty then begin
-      if g.n_dirty >= g.m / 2 then g.all_dirty <- true
-      else begin
-        let grown = Array.make (max 64 (2 * g.n_dirty)) 0 in
-        Array.blit g.dirty 0 grown 0 g.n_dirty;
-        g.dirty <- grown
-      end
-    end;
-    if not g.all_dirty then begin
-      g.dirty.(g.n_dirty) <- a land lnot 1;
-      g.n_dirty <- g.n_dirty + 1
-    end
-  end
-
 let push g a d =
   check_arc g a;
   if d > g.cap_.(a) - g.flow_.(a) then
     invalid_arg "Graph.push: exceeds residual capacity";
   g.flow_.(a) <- g.flow_.(a) + d;
-  g.flow_.(rev a) <- g.flow_.(rev a) - d;
-  mark_dirty g a
+  g.flow_.(rev a) <- g.flow_.(rev a) - d
 
-let set_capacity g a c =
-  check_arc g a;
-  if c < g.flow_.(a) then invalid_arg "Graph.set_capacity: below current flow";
-  g.cap_.(a) <- c
-
-let set_cost g a c =
-  check_arc g a;
-  if not (is_forward a) then invalid_arg "Graph.set_cost: twin arc";
-  g.cost_.(a) <- c;
-  g.cost_.(rev a) <- -c;
-  if abs c > g.max_cost_ then g.max_cost_ <- abs c
-
-let reset_flows g =
-  if g.all_dirty then Array.fill g.flow_ 0 g.m 0
-  else
-    for i = 0 to g.n_dirty - 1 do
-      let a = g.dirty.(i) in
-      (* [truncate] may have dropped arcs recorded here; their slots are
-         rewritten to zero flow on reuse anyway. *)
-      if a < g.m then begin
-        g.flow_.(a) <- 0;
-        g.flow_.(a + 1) <- 0
-      end
-    done;
-  g.n_dirty <- 0;
-  g.all_dirty <- false
-
-let mark g = g.m
-
-let truncate g mark =
-  if mark < 0 || mark > g.m || mark land 1 <> 0 then
-    invalid_arg "Graph.truncate: bad mark";
-  (* Arcs are pushed at the front of their source's adjacency list, so the
-     arcs above [mark] are exactly the list prefixes — pop them in reverse
-     insertion order and every head pointer lands back where it was. *)
-  for a = g.m - 1 downto mark do
-    g.head.(g.src_.(a)) <- g.next_.(a)
-  done;
-  g.m <- mark;
-  (* A frozen view built at a higher water mark would hand out dead arc
-     ids; drop it unconditionally rather than track which mark it matches. *)
-  g.csr_m <- -1
+let reset_flows g = Array.fill g.flow_ 0 g.m 0
 
 let iter_out g v f =
-  if frozen g then begin
-    let first = g.csr_first and arcs = g.csr_arcs in
-    for i = first.{v} to first.{v + 1} - 1 do
-      f arcs.{i}
-    done
-  end
-  else begin
-    let a = ref g.head.(v) in
-    while !a >= 0 do
-      let cur = !a in
-      a := g.next_.(cur);
-      f cur
-    done
-  end
+  freeze g;
+  let first = g.csr_first and arcs = g.csr_arcs in
+  for i = first.{v} to first.{v + 1} - 1 do
+    f arcs.{i}
+  done
 
 let fold_out g v f init =
   let acc = ref init in

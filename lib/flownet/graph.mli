@@ -5,12 +5,10 @@
     always the reverse arc. All max-flow / min-cost solvers in this library
     operate on this representation.
 
-    Adjacency is a per-vertex singly-linked list by default; {!freeze}
-    additionally builds a contiguous CSR view ({!first_out}/{!arc_of})
-    that solver hot loops iterate instead, trading one O(V+E) counting
-    sort per batch for cache-local adjacency scans across every solve
-    round. Topology changes ({!add_arc}, {!truncate}) invalidate the
-    view; flow/capacity/cost updates preserve it. *)
+    Adjacency is a contiguous CSR view ({!first_out}/{!arc_of}) that
+    {!freeze} builds with one O(V+E) counting sort; solver hot loops then
+    scan it cache-locally across every solve round. {!add_arc}
+    invalidates the view; flow updates preserve it. *)
 
 type t
 
@@ -41,35 +39,8 @@ val push : t -> int -> int -> unit
 (** [push g arc d] adds [d] units along [arc] and removes them from its twin.
     @raise Invalid_argument if [d] exceeds the residual capacity. *)
 
-val set_capacity : t -> int -> int -> unit
-(** Replace the capacity of an arc (used by incremental schedulers).
-    @raise Invalid_argument if below the current flow. *)
-
-val set_cost : t -> int -> int -> unit
-(** Replace the cost of a forward arc (its twin gets the negated cost).
-    @raise Invalid_argument on a twin arc id. *)
-
 val reset_flows : t -> unit
-(** Zero all flows, keeping the topology. Costs O(arcs pushed since the
-    last reset) — the graph tracks which twin pairs went dirty — falling
-    back to one pass over the arena when most of it was touched. *)
-
-val max_cost : t -> int
-(** Upper bound on [abs (cost arc)] over every arc ever stored (monotone —
-    not lowered by {!set_cost} or {!truncate}). Used to pick the Dijkstra
-    priority-queue implementation: small bounded costs admit a Dial bucket
-    queue. *)
-
-val mark : t -> int
-(** Checkpoint of the arc arena (the current arc count), for {!truncate}. *)
-
-val truncate : t -> int -> unit
-(** [truncate g m] removes every arc added after the {!mark} [m], restoring
-    the adjacency lists exactly. Flows on the removed arcs are discarded;
-    flows on surviving arcs are untouched. Used by incremental schedulers to
-    reuse the static tier of a network across batches. Invalidates any
-    frozen CSR view (it may reference the removed arcs).
-    @raise Invalid_argument if [m] is not a twin-aligned mark in range. *)
+(** Zero all flows, keeping the topology. *)
 
 (** {2 Frozen CSR view} *)
 
@@ -79,10 +50,8 @@ val freeze : t -> unit
     graph and reused across freezes — a re-freeze allocates nothing once
     the buffers fit. Idempotent — a no-op when the view is already
     current — so solvers call it unconditionally at entry and only the
-    first solve after a topology change pays. While frozen, {!iter_out}
-    and {!fold_out} walk the CSR arrays; per-vertex arc order becomes
-    insertion order (oldest arc first) instead of the linked list's
-    newest-first. *)
+    first solve after a topology change pays. Per-vertex arc order is
+    insertion order (oldest arc first). *)
 
 val frozen : t -> bool
 (** Whether the CSR view is current (built and not invalidated since). *)
@@ -107,7 +76,8 @@ val is_forward : int -> bool
 (** Whether an arc id denotes a forward (user-created) arc. *)
 
 val iter_out : t -> int -> (int -> unit) -> unit
-(** Iterate the ids of arcs leaving a vertex (twins included). *)
+(** Iterate the ids of arcs leaving a vertex (twins included), in
+    insertion order; freezes the graph first. *)
 
 val fold_out : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
 

@@ -1,16 +1,11 @@
 (** Name → solver backend registry.
 
-    The four built-in backends register themselves at load time:
-    ["mincost"] (successive shortest paths),
-    ["cost-scaling"], ["dinic"] and ["push-relabel"]. Each registered
-    backend is wrapped with per-backend obs series
+    Two min-cost backends are built in: ["mincost"] (successive shortest
+    paths) and ["cost-scaling"] (Goldberg–Tarjan, with a Dinic max flow
+    as its first phase). Each is wrapped with per-backend obs series
     ([solver.<name>.solves], [solver.<name>.errors],
-    [solver.<name>.solve_ns]) at registration, so selection and
-    instrumentation stay in one place. *)
-
-val register : (module Solver_intf.S) -> unit
-(** Add (or replace) a backend under its [name]; it is instrumented on
-    the way in. *)
+    [solver.<name>.solve_ns]), so selection and instrumentation stay in
+    one place. *)
 
 val find : string -> (module Solver_intf.S) option
 val names : unit -> string list
@@ -28,7 +23,6 @@ val of_env : unit -> (module Solver_intf.S)
     @raise Invalid_argument on an unknown name, listing the known ones. *)
 
 val name : (module Solver_intf.S) -> string
-val caps : (module Solver_intf.S) -> Solver_intf.caps
 
 val solve :
   (module Solver_intf.S) ->
@@ -43,15 +37,3 @@ val solve :
     [Error (Deadline_exceeded _)] (the instrumentation wrapper converts
     backends that raise internally); the partial flow left on the graph is
     not trustworthy — reset or escalate. *)
-
-val default_rungs : string list
-(** [["mincost"; "cost-scaling"]] — exact first, then the capped
-    approximation, the order [Baselines.Ladder] tries them. Max-flow
-    backends are left out: they ignore costs, so a Firmament rung on one
-    places nothing, and the ladder accepts any rung that returns. *)
-
-val rungs_of_env : unit -> string list
-(** Rung names from [ALADDIN_LADDER] (comma-separated), default
-    {!default_rungs}. ["gokube"] is accepted for scheduler-level ladders
-    even though it is not a flow solver.
-    @raise Invalid_argument on any other unknown name. *)

@@ -1,28 +1,13 @@
 (** Common interface every registered flow-solver backend implements.
 
-    All backends speak the {!Mincost.stats} vocabulary (flow value, total
-    cost, iteration count) behind a Result so callers handle solver faults
-    uniformly; {!caps} declares which parts of the contract a backend
-    actually honours, letting generic harnesses (differential tests,
-    schedulers) pick comparisons that are valid for that backend. *)
-
-type caps = {
-  min_cost : bool;
-      (** The reported [cost] is optimal for the flow value found. Pure
-          max-flow backends instead report the cost of whatever flow they
-          happened to route. *)
-  supports_max_flow : bool;
-      (** The [?max_flow] cap is honoured. Push-relabel cannot cap safely —
-          excess drained back to the source may still have been deliverable
-          along other source arcs — so it ignores the cap and this is
-          [false]. *)
-}
+    Every backend is a min-cost solver that honours [?max_flow], and all
+    speak the {!Mincost.stats} vocabulary (flow value, total cost,
+    iteration count) behind a Result so callers handle solver faults
+    uniformly. *)
 
 module type S = sig
   val name : string
   (** Registry key, e.g. ["mincost"]; also the [ALADDIN_SOLVER] value. *)
-
-  val caps : caps
 
   val solve :
     ?deadline:Deadline.t ->

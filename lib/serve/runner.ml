@@ -621,31 +621,43 @@ type sweep_result = {
   points : point list;
 }
 
-(* Base rate from a short probe run: several consecutive batches on a
-   throwaway cluster, taking the *slowest* per-request service seen — the
-   first batch on an empty cluster is misleadingly fast, and sustained
-   throughput is set by the worst batch. Clamps keep a degenerate
-   measurement from exploding the event count. *)
+(* Base rate: with a fixed [service_ms] the capacity is exact — one full
+   batch per service time. Otherwise a short probe run: several
+   consecutive batches on a throwaway cluster, taking the *median*
+   per-request service. The first batch on an empty cluster is
+   misleadingly fast, and one descheduled probe can be orders of
+   magnitude slow; the median ignores both, and the sweep's bracketing
+   absorbs what error is left. Clamps keep a degenerate measurement from
+   exploding the event count. *)
 let calibrate (cfg : config) ~make_sched ~make_cluster ~workload =
-  let cluster = make_cluster () in
-  let sched = make_sched () in
-  let n_tpl = Array.length workload.Workload.containers in
-  let bs = min cfg.batch_size n_tpl in
-  let worst = ref 1e-9 in
-  for k = 0 to 4 do
-    let batch =
-      Array.init bs (fun i ->
-          workload.Workload.containers.(((k * bs) + i) mod n_tpl))
-    in
-    let t0 = Obs.now_ns () in
-    (try ignore (sched.Scheduler.schedule cluster batch)
-     with e when Scheduler.faults_recoverable e -> ());
-    let wall =
-      Float.max 1e-6 (Int64.to_float (Int64.sub (Obs.now_ns ()) t0) /. 1e9)
-    in
-    worst := Float.max !worst (wall /. float_of_int bs)
-  done;
-  Float.max 50. (Float.min 500_000. (1. /. !worst))
+  let per_request =
+    if cfg.service_ms > 0. then
+      cfg.service_ms /. 1e3 /. float_of_int cfg.batch_size
+    else begin
+      let cluster = make_cluster () in
+      let sched = make_sched () in
+      let n_tpl = Array.length workload.Workload.containers in
+      let bs = min cfg.batch_size n_tpl in
+      let probes =
+        Array.init 5 (fun k ->
+            let batch =
+              Array.init bs (fun i ->
+                  workload.Workload.containers.(((k * bs) + i) mod n_tpl))
+            in
+            let t0 = Obs.now_ns () in
+            (try ignore (sched.Scheduler.schedule cluster batch)
+             with e when Scheduler.faults_recoverable e -> ());
+            let wall =
+              Float.max 1e-6
+                (Int64.to_float (Int64.sub (Obs.now_ns ()) t0) /. 1e9)
+            in
+            wall /. float_of_int bs)
+      in
+      Array.sort Float.compare probes;
+      probes.(Array.length probes / 2)
+    end
+  in
+  Float.max 50. (Float.min 500_000. (1. /. per_request))
 
 (* The sweep brackets the saturation knee whatever the calibration error:
    the anchor point runs at a quarter of the calibrated rate; if it is

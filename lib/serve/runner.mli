@@ -109,7 +109,7 @@ val run :
 
 type sweep_result = {
   base_rate : float;  (** multiplier-1 rate of the sweep *)
-  calibrated : bool;  (** base rate measured from a probe batch *)
+  calibrated : bool;  (** base rate calibrated ([config.rate <= 0]) *)
   points : point list;  (** increasing rate, last one saturated *)
 }
 
@@ -121,8 +121,10 @@ val sweep :
   workload:Workload.t ->
   sweep_result
 (** Load sweep bracketing the saturation knee: when [config.rate <= 0]
-    the base rate is calibrated from a short probe run on a throwaway
-    cluster (the scheduler's worst per-request batch service). The
+    the base rate is calibrated — one full batch per [service_ms] when
+    that is fixed, else from a short probe run on a throwaway cluster
+    (the median per-request service of five probe batches, so one
+    descheduled probe does not skew it). The
     anchor point runs at [base * 0.25] on a fresh cluster/scheduler
     pair; from there rates double until a point saturates — or, if the
     anchor is already saturated, halve until one is underloaded — up to

@@ -164,19 +164,6 @@ let random_dag rng ~n ~m ~max_cap ~max_cost =
   done;
   (g, src, dst)
 
-(* Random nonnegative-cost graph; a fraction of the arcs get cost zero
-   exactly (the Dial bucket queue's batch-pop regime). *)
-let random_nonneg_graph rng ~n ~max_cost =
-  let g = Flownet.Graph.create ~arc_hint:(n * 4) n in
-  for _ = 1 to n * 3 do
-    let s = Rng.int rng n and d = Rng.int rng n in
-    if s <> d then
-      let cost = if Rng.bool rng 0.3 then 0 else Rng.int rng (max_cost + 1) in
-      ignore
-        (Flownet.Graph.add_arc g ~src:s ~dst:d ~cap:(1 + Rng.int rng 10) ~cost)
-  done;
-  g
-
 (* ---------- flow oracles ---------- *)
 
 let mincost_exn ?max_flow g ~src ~dst =

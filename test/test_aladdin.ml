@@ -87,19 +87,6 @@ let test_flow_graph_edges () =
     (Aladdin.Flow_graph.n_edges fg < Aladdin.Flow_graph.naive_edges fg + 8 * 6);
   check int "naive" 48 (Aladdin.Flow_graph.naive_edges fg)
 
-let test_flow_graph_projection () =
-  let apps =
-    [| Application.make ~id:0 ~n_containers:3 ~demand:(Resource.cpu_only 16.) () |]
-  in
-  let cl = cluster_of apps ~n_machines:2 ~machine_cpu:32. in
-  let batch = Array.init 3 (fun i -> mk ~id:i ~app:0 16.) in
-  let fg = Aladdin.Flow_graph.build cl batch in
-  let g, src, sink = Aladdin.Flow_graph.scalar_projection fg in
-  let max_flow = Flownet.Dinic.run g ~src ~dst:sink in
-  (* two machines of 32 cap the flow at 64k millis = 64000; the batch only
-     supplies 48k *)
-  check int "projection max flow = min(supply, capacity)" 48_000 max_flow
-
 (* ---------- search: IL & DL ---------- *)
 
 let one_app_cluster () =
@@ -1101,7 +1088,6 @@ let () =
       ( "flow-graph",
         [
           Alcotest.test_case "tiers and edges" `Quick test_flow_graph_edges;
-          Alcotest.test_case "scalar projection" `Quick test_flow_graph_projection;
         ] );
       ( "search",
         [

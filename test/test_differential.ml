@@ -12,7 +12,6 @@ let bool = Alcotest.bool
    the test bodies unchanged. *)
 let random_flow_graph = Gen.random_flow_graph
 let random_dag = Gen.random_dag
-let random_nonneg_graph = Gen.random_nonneg_graph
 let assert_feasible = Gen.assert_feasible
 let ssp_bellman_ford = Gen.ssp_bellman_ford
 let mincost_exn = Gen.mincost_exn
@@ -30,12 +29,8 @@ let test_maxflow_differential () =
     let f_dinic = Flownet.Dinic.run g ~src ~dst in
     assert_feasible g ~src ~dst ~value:f_dinic;
     Flownet.Graph.reset_flows g;
-    let f_pr = Flownet.Push_relabel.run g ~src ~dst in
-    assert_feasible g ~src ~dst ~value:f_pr;
-    Flownet.Graph.reset_flows g;
     let f_ek = Flownet.Maxflow.run g ~src ~dst in
     assert_feasible g ~src ~dst ~value:f_ek;
-    check int "dinic = push-relabel" f_dinic f_pr;
     check int "dinic = edmonds-karp" f_dinic f_ek
   done
 
@@ -71,16 +66,16 @@ let test_mincost_differential () =
 
 let test_registry_lists_all_backends () =
   Alcotest.(check (list string))
-    "four built-in backends"
-    [ "cost-scaling"; "dinic"; "mincost"; "push-relabel" ]
+    "two built-in backends"
+    [ "cost-scaling"; "mincost" ]
     (Flownet.Registry.names ());
   check bool "unknown name" true (Flownet.Registry.find "simplex" = None);
   check bool "default registered" true
     (Flownet.Registry.find Flownet.Registry.default <> None)
 
 (* Every registered backend, on the same random negative-cost DAGs: flows
-   are maximal and feasible; backends claiming min-cost also match the
-   Bellman–Ford successive-shortest-path oracle on cost. *)
+   are maximal and feasible, and costs match the Bellman–Ford
+   successive-shortest-path oracle. *)
 let test_registry_differential () =
   let backends = registered () in
   let rng = Rng.create 0x4E61 in
@@ -92,21 +87,20 @@ let test_registry_differential () =
     List.iter
       (fun backend ->
         let name = Flownet.Registry.name backend in
-        let caps = Flownet.Registry.caps backend in
         Flownet.Graph.reset_flows g;
         let s = solve_exn backend g ~src ~dst in
         assert_feasible g ~src ~dst ~value:s.Flownet.Mincost.flow;
         check int (name ^ " flow is maximal") bf_flow s.Flownet.Mincost.flow;
-        if caps.Flownet.Solver_intf.min_cost then
-          check int (name ^ " cost is optimal") bf_cost s.Flownet.Mincost.cost)
+        check int (name ^ " cost is optimal") bf_cost s.Flownet.Mincost.cost)
       backends
   done
 
 (* The near-max_int regression case from the error-path PR, across the
    whole registry. Saturating adds make a two-big-hop label equal max_int =
-   "unreachable", so path-based min-cost solvers push nothing; pure
-   max-flow backends ignore costs entirely and push the single unit. This
-   divergence is semantics, not a bug — pin it for every backend. *)
+   "unreachable", so the path-based SSP pushes nothing; cost scaling
+   routes its flow with a cost-blind Dinic phase first and pushes the
+   single unit. This divergence is semantics, not a bug — pin it for
+   every backend. *)
 let test_registry_near_max_int () =
   let big = max_int - 10 in
   List.iter
@@ -127,7 +121,6 @@ let test_registry_near_max_int () =
 let test_registry_negative_arc () =
   List.iter
     (fun backend ->
-      let caps = Flownet.Registry.caps backend in
       let name = Flownet.Registry.name backend in
       let g = Flownet.Graph.create 4 in
       ignore (Flownet.Graph.add_arc g ~src:0 ~dst:1 ~cap:2 ~cost:1);
@@ -136,13 +129,12 @@ let test_registry_negative_arc () =
       ignore (Flownet.Graph.add_arc g ~src:2 ~dst:3 ~cap:3 ~cost:1);
       let s = solve_exn backend g ~src:0 ~dst:3 in
       check int (name ^ " flow") 3 s.Flownet.Mincost.flow;
-      if caps.Flownet.Solver_intf.min_cost then
-        (* 2 units via 0→1→2→3 at cost 0 each, 1 unit via 0→2→3 at cost 5 *)
-        check int (name ^ " cost") 5 s.Flownet.Mincost.cost)
+      (* 2 units via 0→1→2→3 at cost 0 each, 1 unit via 0→2→3 at cost 5 *)
+      check int (name ^ " cost") 5 s.Flownet.Mincost.cost)
     (registered ())
 
-(* The max_flow cap, for backends that claim it: capped flow = min(cap,
-   max-flow), still feasible, still min-cost for that value. *)
+(* The max_flow cap, which every backend honours: capped flow = min(cap,
+   max-flow), still feasible. *)
 let test_registry_max_flow_cap () =
   let rng = Rng.create 0xCA9 in
   for _case = 1 to 10 do
@@ -152,126 +144,13 @@ let test_registry_max_flow_cap () =
     let cap = 1 + Rng.int rng (max 1 (fst full)) in
     List.iter
       (fun backend ->
-        let caps = Flownet.Registry.caps backend in
-        if caps.Flownet.Solver_intf.supports_max_flow then begin
-          let name = Flownet.Registry.name backend in
-          Flownet.Graph.reset_flows g;
-          let s = solve_exn backend ~max_flow:cap g ~src ~dst in
-          check int (name ^ " capped flow") (min cap (fst full))
-            s.Flownet.Mincost.flow;
-          assert_feasible g ~src ~dst ~value:s.Flownet.Mincost.flow
-        end)
+        let name = Flownet.Registry.name backend in
+        Flownet.Graph.reset_flows g;
+        let s = solve_exn backend ~max_flow:cap g ~src ~dst in
+        check int (name ^ " capped flow") (min cap (fst full))
+          s.Flownet.Mincost.flow;
+        assert_feasible g ~src ~dst ~value:s.Flownet.Mincost.flow)
       (registered ())
-  done
-
-(* truncate must restore the adjacency structure exactly: solving after
-   mark/add/truncate equals solving the original graph. *)
-let test_truncate_restores_solver_results () =
-  let rng = Rng.create 0x7070 in
-  for _case = 1 to 15 do
-    let n = 8 + Rng.int rng 16 in
-    let g, src, dst = random_flow_graph rng ~n ~m:(n * 3) ~max_cap:15 in
-    let reference = Flownet.Dinic.run g ~src ~dst in
-    Flownet.Graph.reset_flows g;
-    let mark = Flownet.Graph.mark g in
-    for _ = 1 to 1 + Rng.int rng 8 do
-      let s = Rng.int rng n and d = Rng.int rng n in
-      if s <> d then
-        ignore
-          (Flownet.Graph.add_arc g ~src:s ~dst:d ~cap:(1 + Rng.int rng 15)
-             ~cost:0)
-    done;
-    ignore (Flownet.Dinic.run g ~src ~dst);
-    Flownet.Graph.truncate g mark;
-    Flownet.Graph.reset_flows g;
-    check int "same max flow after truncate" reference
-      (Flownet.Dinic.run g ~src ~dst)
-  done
-
-(* ---------- Dial bucket queue vs binary heap ---------- *)
-
-let with_policy p f =
-  let old = Flownet.Dijkstra.queue_policy () in
-  Flownet.Dijkstra.set_queue_policy p;
-  Fun.protect ~finally:(fun () -> Flownet.Dijkstra.set_queue_policy old) f
-
-let dijkstra_dists p g ~n ~potential =
-  let r =
-    with_policy p (fun () -> Flownet.Dijkstra.run g ~src:0 ~potential)
-  in
-  Array.init n (fun v -> r.Flownet.Dijkstra.dist.{v})
-
-(* The queue is an implementation detail: both must produce identical
-   distance labels on random graphs with plenty of zero-cost arcs. *)
-let test_dial_heap_dijkstra () =
-  let rng = Rng.create 0xD1A1 in
-  for _case = 1 to 25 do
-    let n = 8 + Rng.int rng 24 in
-    let g = random_nonneg_graph rng ~n ~max_cost:50 in
-    let potential = Flownet.Ia.create n in
-    Alcotest.(check (array int))
-      "dial = heap distances"
-      (dijkstra_dists Flownet.Dijkstra.Force_heap g ~n ~potential)
-      (dijkstra_dists Flownet.Dijkstra.Force_dial g ~n ~potential)
-  done
-
-(* Arc costs far beyond the bucket span: Force_dial must overflow, migrate
-   its frontier into the heap mid-run, and still match the heap's labels. *)
-let test_dial_overflow_migration () =
-  let rng = Rng.create 0xD1A2 in
-  let overflows = Obs.counter "dijkstra.dial_overflows" in
-  let before = Obs.count overflows in
-  for _case = 1 to 10 do
-    let n = 8 + Rng.int rng 16 in
-    let g = random_nonneg_graph rng ~n ~max_cost:(1 lsl 21) in
-    let potential = Flownet.Ia.create n in
-    Alcotest.(check (array int))
-      "dial-with-overflow = heap distances"
-      (dijkstra_dists Flownet.Dijkstra.Force_heap g ~n ~potential)
-      (dijkstra_dists Flownet.Dijkstra.Force_dial g ~n ~potential)
-  done;
-  check bool "at least one dial overflow exercised" true
-    (Obs.count overflows > before)
-
-(* Near-max_int potentials: reduced costs stay small, so Dial must serve the run without overflow even
-   though the absolute labels are enormous. *)
-let test_dial_large_potentials () =
-  let rng = Rng.create 0xD1A3 in
-  for _case = 1 to 10 do
-    let n = 8 + Rng.int rng 16 in
-    let g = random_nonneg_graph rng ~n ~max_cost:0 in
-    (* uniform potentials shift every reduced cost by zero *)
-    let potential = Flownet.Ia.create ~fill:(max_int / 2) n in
-    Alcotest.(check (array int))
-      "dial = heap under huge uniform potentials"
-      (dijkstra_dists Flownet.Dijkstra.Force_heap g ~n ~potential)
-      (dijkstra_dists Flownet.Dijkstra.Force_dial g ~n ~potential)
-  done
-
-(* Full solver differential with the bucket queue forced: min-cost results
-   must be queue-independent on random DAGs. *)
-let test_dial_mincost_differential () =
-  let rng = Rng.create 0xD1A4 in
-  for _case = 1 to 20 do
-    let n = 6 + Rng.int rng 12 in
-    let m = n * 2 in
-    let g, src, dst = random_dag rng ~n ~m ~max_cap:10 ~max_cost:50 in
-    let heap_stats =
-      with_policy Flownet.Dijkstra.Force_heap (fun () ->
-          let s = mincost_exn g ~src ~dst in
-          Flownet.Graph.reset_flows g;
-          s)
-    in
-    let dial_stats =
-      with_policy Flownet.Dijkstra.Force_dial (fun () ->
-          let s = mincost_exn g ~src ~dst in
-          Flownet.Graph.reset_flows g;
-          s)
-    in
-    check int "flow (dial = heap)" heap_stats.Flownet.Mincost.flow
-      dial_stats.Flownet.Mincost.flow;
-    check int "cost (dial = heap)" heap_stats.Flownet.Mincost.cost
-      dial_stats.Flownet.Mincost.cost
   done
 
 let () =
@@ -279,7 +158,7 @@ let () =
     [
       ( "maxflow",
         [
-          Alcotest.test_case "dinic = push-relabel = edmonds-karp" `Quick
+          Alcotest.test_case "dinic = edmonds-karp" `Quick
             test_maxflow_differential;
         ] );
       ( "mincost",
@@ -299,21 +178,5 @@ let () =
             test_registry_negative_arc;
           Alcotest.test_case "max_flow cap honoured where claimed" `Quick
             test_registry_max_flow_cap;
-        ] );
-      ( "arena",
-        [
-          Alcotest.test_case "truncate restores solver results" `Quick
-            test_truncate_restores_solver_results;
-        ] );
-      ( "dial",
-        [
-          Alcotest.test_case "dial = heap on random graphs" `Quick
-            test_dial_heap_dijkstra;
-          Alcotest.test_case "overflow migrates to heap mid-run" `Quick
-            test_dial_overflow_migration;
-          Alcotest.test_case "huge uniform potentials" `Quick
-            test_dial_large_potentials;
-          Alcotest.test_case "mincost with bucket queue forced" `Quick
-            test_dial_mincost_differential;
         ] );
     ]

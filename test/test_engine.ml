@@ -123,18 +123,19 @@ let test_differential backend () =
     (cases backend)
 
 (* A registry-backend name builds a Firmament stack pinned to that
-   solver, exactly as [Ladder.rung] / the serving phase always did. *)
+   solver, exactly as a ladder rung / the serving phase always did. *)
 let test_backend_name_stack () =
-  match Stack.of_name "dinic" with
+  match Stack.of_name "cost-scaling" with
   | Error e -> Alcotest.fail e
   | Ok spec ->
       check bool "kind firmament" true (spec.Stack.kind = Stack.Firmament);
-      check string "solver pinned" "dinic"
+      check string "solver pinned" "cost-scaling"
         (Option.value ~default:"?" spec.Stack.solver);
       let fp_hand =
         replay_fp
           (Firmament.make
-             ~config:{ Firmament.default with Firmament.solver = "dinic" }
+             ~config:
+               { Firmament.default with Firmament.solver = "cost-scaling" }
              ())
       in
       check string "backend-name engine = hand" fp_hand (engine_fp spec)
@@ -146,14 +147,11 @@ let test_backend_name_stack () =
    differential above cannot see a change in the flow a backend routes.
    These seed-42 fingerprints and placed counts, one per registry
    backend, were captured before the warm-start solve path was removed
-   and pin the cold solve. Dinic ignores costs, and its shortest hop path
-   runs through the unscheduled node, so it places nothing. *)
+   and pin the cold solve. *)
 let firmament_goldens =
   [
     ("mincost", 2665922339523803555, 499);
     ("cost-scaling", 2905329433991188255, 498);
-    ("dinic", 0, 0);
-    ("push-relabel", 3726208040979323217, 473);
   ]
 
 let test_firmament_goldens () =
@@ -241,23 +239,57 @@ let test_of_args () =
 
 (* Env overlay: set variables override the base, unset ones leave it
    alone. Only knobs whose "" value reads as the default are exercised,
-   so that resetting to "" really clears them (Env.float_opt treats "" as
-   absent, and "" names no Dijkstra policy). *)
+   so that resetting to "" really clears them (Env.float_opt and
+   Ladder.rungs_of_env treat "" as absent). *)
 let test_of_env () =
   Unix.putenv "ALADDIN_DEADLINE_MS" "1.5";
-  Unix.putenv "ALADDIN_DIJKSTRA" "dial";
+  Unix.putenv "ALADDIN_LADDER" "cost-scaling, gokube";
   let base = { Stack.default with Stack.reschd = 99 } in
   let s = Stack.of_env ~base () in
   check bool "deadline from env" true (s.Stack.deadline_ms = 1.5);
   check bool "deadline arms audit" true s.Stack.audit;
-  check bool "dijkstra from env" true (s.Stack.dijkstra = Some Stack.Dial);
+  check bool "ladder from env" true
+    (s.Stack.ladder_rungs = Some [ "cost-scaling"; "gokube" ]);
   check int "unset knob keeps base" 99 s.Stack.reschd;
   Unix.putenv "ALADDIN_DEADLINE_MS" "";
-  Unix.putenv "ALADDIN_DIJKSTRA" "";
+  Unix.putenv "ALADDIN_LADDER" "";
   let s = Stack.of_env ~base () in
   check bool "cleared env keeps base deadline" true (s.Stack.deadline_ms = 0.);
-  check bool "cleared env keeps base dijkstra" true (s.Stack.dijkstra = None);
+  check bool "cleared env keeps base ladder" true (s.Stack.ladder_rungs = None);
   check bool "cleared env keeps base audit" true (not s.Stack.audit)
+
+let lists_known ~known e =
+  List.for_all
+    (fun k ->
+      let n = String.length e and m = String.length k in
+      let rec at i = i + m <= n && (String.sub e i m = k || at (i + 1)) in
+      at 0)
+    known
+
+(* The cost-blind backends and the Dijkstra queue knob are gone: their
+   names are rejected, and each error lists the names that remain. *)
+let test_rejects_removed_names () =
+  let rejected what ~known = function
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error e ->
+        if not (lists_known ~known e) then
+          Alcotest.failf "%s: error does not list the known names: %s" what e
+  in
+  rejected "--sched dinic" ~known:[ "aladdin"; "mincost"; "cost-scaling" ]
+    (Stack.of_args [ "--sched"; "dinic" ]);
+  rejected "--ladder push-relabel" ~known:[ "mincost"; "cost-scaling"; "gokube" ]
+    (Stack.of_args [ "--ladder"; "mincost,push-relabel" ]);
+  rejected "--dijkstra heap" ~known:[ "--sched"; "--ladder"; "--audit" ]
+    (Stack.of_args [ "--dijkstra"; "heap" ]);
+  Unix.putenv "ALADDIN_LADDER" "dinic";
+  let env =
+    match Stack.of_env () with
+    | _ -> Ok ()
+    | exception Invalid_argument e -> Error e
+  in
+  Unix.putenv "ALADDIN_LADDER" "";
+  rejected "ALADDIN_LADDER=dinic" ~known:[ "mincost"; "cost-scaling"; "gokube" ]
+    env
 
 (* ---------- obs epoch scoping ---------- *)
 
@@ -299,6 +331,8 @@ let () =
           Alcotest.test_case "of_name" `Quick test_of_name;
           Alcotest.test_case "of_args" `Quick test_of_args;
           Alcotest.test_case "of_env" `Quick test_of_env;
+          Alcotest.test_case "rejects removed names" `Quick
+            test_rejects_removed_names;
         ] );
       ( "epochs",
         [

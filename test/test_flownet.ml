@@ -86,8 +86,8 @@ let contains ~sub s =
   let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
   go 0
 
-(* The CSR view must be invalidated by topology changes (add_arc, truncate)
-   and survive flow pushes. Regression test for the freeze lifecycle. *)
+(* The CSR view must be invalidated by add_arc and survive flow pushes.
+   Regression test for the freeze lifecycle. *)
 let test_freeze_lifecycle () =
   let g = G.create 3 in
   let a = G.add_arc g ~src:0 ~dst:1 ~cap:4 ~cost:0 in
@@ -105,19 +105,16 @@ let test_freeze_lifecycle () =
   G.push g a 2;
   check bool "push keeps frozen" true (G.frozen g);
   (* topology changes invalidate it *)
-  let m = G.mark g in
   ignore (G.add_arc g ~src:1 ~dst:2 ~cap:1 ~cost:0);
   check bool "add_arc dirties" false (G.frozen g);
-  G.freeze g;
-  check bool "refrozen" true (G.frozen g);
-  G.truncate g m;
-  check bool "truncate dirties" false (G.frozen g);
-  Alcotest.check_raises "arc_of after truncate"
+  Alcotest.check_raises "arc_of after add_arc"
     (Invalid_argument "Graph.arc_of: graph not frozen") (fun () ->
       ignore (G.arc_of g));
   G.freeze g;
-  check int "view rebuilt to truncated arena" 2
-    (G.first_out g).{G.n_vertices g}
+  check bool "refrozen" true (G.frozen g);
+  check int "view rebuilt over the grown arena" 4
+    (G.first_out g).{G.n_vertices g};
+  check int "flow survives the refreeze" 2 (G.flow g a)
 
 let test_pp_frozen_tag () =
   let g = G.create 2 in
@@ -261,14 +258,6 @@ let test_dinic_clrs () =
   let g = clrs () in
   check int "max flow" 23 (Flownet.Dinic.run g ~src:0 ~dst:5)
 
-let test_push_relabel_clrs () =
-  let g = clrs () in
-  check int "max flow" 23 (Flownet.Push_relabel.run g ~src:0 ~dst:5);
-  check int "source outflow" 23 (G.outflow g 0);
-  for v = 1 to 4 do
-    check int "conservation" 0 (G.outflow g v)
-  done
-
 let cut_capacity g reachable =
   let total = ref 0 in
   for a = 0 to G.n_arcs g - 1 do
@@ -371,25 +360,6 @@ let prop_dinic_equals_edmonds_karp =
       Flownet.Maxflow.run g1 ~src:0 ~dst:(fst spec - 1)
       = Flownet.Dinic.run g2 ~src:0 ~dst:(fst spec - 1))
 
-let prop_push_relabel_equals_dinic =
-  QCheck.Test.make ~count:300 ~name:"push-relabel = dinic on random graphs"
-    (QCheck.make random_graph_gen) (fun spec ->
-      let g1 = build spec and g2 = build spec in
-      Flownet.Push_relabel.run g1 ~src:0 ~dst:(fst spec - 1)
-      = Flownet.Dinic.run g2 ~src:0 ~dst:(fst spec - 1))
-
-let prop_push_relabel_conservation =
-  QCheck.Test.make ~count:300 ~name:"push-relabel conserves flow"
-    (QCheck.make random_graph_gen) (fun spec ->
-      let n = fst spec in
-      let g = build spec in
-      let f = Flownet.Push_relabel.run g ~src:0 ~dst:(n - 1) in
-      G.outflow g 0 = f
-      && G.outflow g (n - 1) = -f
-      && List.for_all
-           (fun v -> G.outflow g v = 0)
-           (List.init (max 0 (n - 2)) (fun i -> i + 1)))
-
 let prop_flow_conservation =
   QCheck.Test.make ~count:300 ~name:"flow conservation on random graphs"
     (QCheck.make random_graph_gen) (fun spec ->
@@ -483,8 +453,6 @@ let qtests =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_dinic_equals_edmonds_karp;
-      prop_push_relabel_equals_dinic;
-      prop_push_relabel_conservation;
       prop_flow_conservation;
       prop_capacity_respected;
       prop_mincut_equals_maxflow;
@@ -527,7 +495,6 @@ let () =
         [
           Alcotest.test_case "edmonds-karp CLRS" `Quick test_edmonds_karp_clrs;
           Alcotest.test_case "dinic CLRS" `Quick test_dinic_clrs;
-          Alcotest.test_case "push-relabel CLRS" `Quick test_push_relabel_clrs;
           Alcotest.test_case "min cut = flow" `Quick test_min_cut_equals_flow;
           Alcotest.test_case "conservation" `Quick test_flow_conservation_clrs;
           Alcotest.test_case "disconnected" `Quick test_disconnected_flow;

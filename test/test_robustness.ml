@@ -152,10 +152,10 @@ let test_registry_converts_raising_backends () =
       | Ok _ -> Alcotest.fail (name ^ ": 0-step budget cannot complete")
       | Error e ->
           Alcotest.fail (name ^ ": wrong error " ^ Flownet.Error.to_string e))
-    [ "mincost"; "cost-scaling"; "dinic"; "push-relabel" ]
+    (Flownet.Registry.names ())
 
 let test_ambient_expiry_propagates_as_exception () =
-  let m = Option.get (Flownet.Registry.find "dinic") in
+  let m = Option.get (Flownet.Registry.find "cost-scaling") in
   let g = line_net () in
   let d = Flownet.Deadline.make ~steps:0 () in
   check bool "ambient expiry escapes for the ladder" true

@@ -223,6 +223,65 @@ let test_sweep_reaches_saturation () =
   let last = List.nth r.points (List.length r.points - 1) in
   check bool "sweep ends saturated" true last.saturated
 
+(* One descheduled calibration probe must not set the base rate: a
+   single stall taken as the service time cuts the rate by orders of
+   magnitude, and every sweep point ends underloaded. The first scheduler
+   [sweep] makes is the calibration's; it stalls 50 ms on its second
+   batch. *)
+let test_sweep_ignores_one_slow_probe () =
+  let w = small_workload 9 in
+  let cfg = { base_cfg with rate = 0.; duration = 0.2; queue_bound = 64;
+              watermark = 48 } in
+  let made = ref 0 in
+  let make_sched () =
+    incr made;
+    let inner = Gokube.make () in
+    if !made > 1 then inner
+    else begin
+      let calls = ref 0 in
+      {
+        Scheduler.name = "stall-once";
+        schedule =
+          (fun cluster batch ->
+            incr calls;
+            if !calls = 2 then begin
+              let t0 = Obs.now_ns () in
+              while Int64.sub (Obs.now_ns ()) t0 < 50_000_000L do
+                ()
+              done
+            end;
+            inner.Scheduler.schedule cluster batch);
+      }
+    end
+  in
+  let r =
+    Serve.Runner.sweep ~max_points:6 cfg ~make_sched
+      ~make_cluster:(fun () -> cluster_for w 48)
+      ~workload:w
+  in
+  let last = List.nth r.points (List.length r.points - 1) in
+  check bool "sweep ends saturated" true last.saturated
+
+(* A fixed service time makes capacity exact: one full batch per
+   [service_ms], with no probe run. *)
+let test_sweep_fixed_service_rate () =
+  let w = small_workload 9 in
+  let cfg = { base_cfg with rate = 0.; duration = 0.2; queue_bound = 64;
+              watermark = 48; service_ms = 2. } in
+  let probes = ref 0 in
+  let r =
+    Serve.Runner.sweep ~max_points:6 cfg
+      ~make_sched:(fun () -> incr probes; Gokube.make ())
+      ~make_cluster:(fun () -> cluster_for w 48)
+      ~workload:w
+  in
+  check bool "calibrated" true r.calibrated;
+  check bool "base rate = batch_size / service" true
+    (Float.abs (r.base_rate -. 8000.) < 1e-6);
+  check int "no probe scheduler" (List.length r.points) !probes;
+  let last = List.nth r.points (List.length r.points - 1) in
+  check bool "sweep ends saturated" true last.saturated
+
 (* ---------- crash-consistent resume ---------- *)
 
 (* Crash consistency needs replayable batch timing, so the resume tests
@@ -357,6 +416,10 @@ let () =
         [
           Alcotest.test_case "load sweep reaches saturation" `Quick
             test_sweep_reaches_saturation;
+          Alcotest.test_case "one slow probe leaves the sweep saturating"
+            `Quick test_sweep_ignores_one_slow_probe;
+          Alcotest.test_case "fixed service time sets the base rate" `Quick
+            test_sweep_fixed_service_rate;
           Alcotest.test_case "arrival process is seeded and modulated"
             `Quick test_arrivals_deterministic_and_modulated;
         ] );
