@@ -341,6 +341,119 @@ let test_deadline_expiry_leaves_outer_untouched () =
   let o = sched.Scheduler.schedule cl second in
   audit_clean "post-expiry batch" cl ~batch:second ~outcome:o
 
+(* ---------- domain faults: one recovery path ---------- *)
+
+let count name = Obs.count (Obs.counter name)
+
+(* Three waves of a random workload on a fresh cluster under cells(4). *)
+let fault_case ~mode seed =
+  let rng = Rng.create seed in
+  let w = Gen.random_workload ~n_apps:8 rng in
+  let n_machines = Gen.machines_for w ~headroom:1.2 in
+  match Gen.waves w.Workload.containers ~n_batches:3 with
+  | [ a; b; c ] ->
+      ( fresh w ~n_machines,
+        Aladdin.Cells_scheduler.make ~cells:4 ~mode (),
+        (a, b, c) )
+  | _ -> Alcotest.fail "waves"
+
+(* The final fingerprint of a fault-free run of [pick]'s waves. *)
+let fault_free ~mode seed pick =
+  let cl, sched, waves = fault_case ~mode seed in
+  List.iter (fun wave -> ignore (sched.Scheduler.schedule cl wave)) (pick waves);
+  Gen.placement_fingerprint cl
+
+(* Schedule the first wave fault-free, the second under [fault], and the
+   third fault-free again. Returns the second wave, the fingerprints
+   before and after it, its outcome, and the final fingerprint. *)
+let faulted_run ~mode ~fault seed =
+  let cl, sched, (first, second, third) = fault_case ~mode seed in
+  ignore (sched.Scheduler.schedule cl first);
+  let fp_before = Gen.placement_fingerprint cl in
+  Fault.install fault;
+  let o =
+    Fun.protect ~finally:Fault.clear (fun () ->
+        sched.Scheduler.schedule cl second)
+  in
+  let fp_after = Gen.placement_fingerprint cl in
+  let o3 = sched.Scheduler.schedule cl third in
+  audit_clean "batch after the fault" cl ~batch:third ~outcome:o3;
+  check bool "batch after the fault places work" true
+    (o3.Scheduler.placed <> []);
+  (second, fp_before, o, fp_after, Gen.placement_fingerprint cl)
+
+(* A crashing cell fails phase 1: the batch is rejected whole, the outer
+   cluster is untouched, and the next batch (mirrors rebuilt) places as a
+   run that never saw the rejected batch would — in both execution
+   modes. *)
+let test_cell_crash_rejects_batch () =
+  List.iter
+    (fun mode ->
+      let ctx what =
+        Printf.sprintf "%s: %s"
+          (match mode with `Sequential -> "sequential" | _ -> "domains")
+          what
+      in
+      let crashes = count "fault.cell_crashes" in
+      let rejected = count "cells.rejected_batches" in
+      let batch, fp_before, o, fp_after, fp_final =
+        faulted_run ~mode
+          ~fault:(Fault.make ~cell_crash:1.0 ~cell_fault_budget:1 ~seed:11 ())
+          43
+      in
+      check int (ctx "one cell crashed") (crashes + 1)
+        (count "fault.cell_crashes");
+      check int (ctx "one batch rejected") (rejected + 1)
+        (count "cells.rejected_batches");
+      check int (ctx "nothing placed") 0 (List.length o.Scheduler.placed);
+      check int (ctx "whole batch undeployed") (Array.length batch)
+        (List.length o.Scheduler.undeployed);
+      check bool (ctx "outer placements unchanged") true (fp_before = fp_after);
+      check bool (ctx "next batch = run without the rejected one") true
+        (fp_final = fault_free ~mode 43 (fun (a, _, c) -> [ a; c ])))
+    [ `Sequential; `Domains ]
+
+(* A corrupted mirror trace surfaces as a phase-2 Desync: the outer
+   cluster is rolled back, mirrors rebuilt, and the batch retried once —
+   not rejected. *)
+let test_corruption_retries_batch () =
+  let desyncs = count "cells.desyncs" in
+  let retries = count "cells.batch_retries" in
+  let rejected = count "cells.rejected_batches" in
+  let corruptions = count "fault.cell_corruptions" in
+  let batch, _, o, _, fp_final =
+    faulted_run ~mode:`Sequential
+      ~fault:(Fault.make ~cell_corrupt:1.0 ~cell_fault_budget:1 ~seed:13 ())
+      47
+  in
+  check int "one corruption injected" (corruptions + 1)
+    (count "fault.cell_corruptions");
+  check int "one desync" (desyncs + 1) (count "cells.desyncs");
+  check int "one batch retry" (retries + 1) (count "cells.batch_retries");
+  check int "no batch rejected" rejected (count "cells.rejected_batches");
+  check int "retried batch accounted" (Array.length batch)
+    (List.length o.Scheduler.placed + List.length o.Scheduler.undeployed);
+  check bool "retried batch placed work" true (o.Scheduler.placed <> []);
+  check bool "placements = fault-free run" true
+    (fp_final = fault_free ~mode:`Sequential 47 (fun (a, b, c) -> [ a; b; c ]))
+
+(* ---------- the worker pool ---------- *)
+
+let test_pool_survives_raising_task () =
+  let p = Cells.Pool.create ~workers:2 in
+  (match
+     Cells.Pool.run p
+       [| (fun () -> 1); (fun () -> failwith "boom"); (fun () -> 3) |]
+   with
+  | [| Ok 1; Error (Failure _); Ok 3 |] -> ()
+  | _ -> Alcotest.fail "unexpected results from a raising job");
+  (* a raising task must not poison the pool for the next job *)
+  (match Cells.Pool.run p [| (fun () -> 7) |] with
+  | [| Ok 7 |] -> ()
+  | _ -> Alcotest.fail "pool unusable after a raising task");
+  check bool "not abandoned" false (Cells.Pool.abandoned p);
+  Cells.Pool.shutdown p
+
 (* ---------- Obs: per-domain shards never lose updates ---------- *)
 
 let test_obs_no_lost_updates_across_domains () =
@@ -413,6 +526,15 @@ let () =
             test_fault_rejects_first_batch_identically;
           Alcotest.test_case "deadline expiry leaves outer untouched" `Quick
             test_deadline_expiry_leaves_outer_untouched;
+          Alcotest.test_case "cell crash rejects the batch, both modes" `Quick
+            test_cell_crash_rejects_batch;
+          Alcotest.test_case "mirror corruption retries the batch" `Quick
+            test_corruption_retries_batch;
+        ] );
+      ( "pool",
+        [
+          Alcotest.test_case "raising task leaves the pool reusable" `Quick
+            test_pool_survives_raising_task;
         ] );
       ( "obs",
         [
