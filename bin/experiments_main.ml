@@ -109,44 +109,7 @@ let serve_flag =
   in
   Arg.(value & flag & info [ "serve" ] ~doc)
 
-let supervise_flag =
-  let doc =
-    "Attach the cell supervisor to the cells stack: per-cell retry with \
-     backoff, join timeouts, quarantine with machine redistribution. \
-     Implied by any --supervise-* knob."
-  in
-  Arg.(value & flag & info [ "supervise" ] ~doc)
-
-let supervise_retries =
-  let doc = "Per-cell phase-1 retries for transient errors." in
-  Arg.(value & opt (some int) None & info [ "supervise-retries" ] ~docv:"N" ~doc)
-
-let supervise_threshold =
-  let doc = "Consecutive cell failures before quarantine." in
-  Arg.(
-    value & opt (some int) None & info [ "supervise-threshold" ] ~docv:"N" ~doc)
-
-let supervise_cooldown =
-  let doc = "Batches a quarantined cell sits out before its probe." in
-  Arg.(
-    value & opt (some int) None & info [ "supervise-cooldown" ] ~docv:"N" ~doc)
-
-let supervise_timeout_ms =
-  let doc = "Phase-1 join timeout (ms) for hung domains; 0 disables." in
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "supervise-timeout-ms" ] ~docv:"MS" ~doc)
-
-let supervise_backoff_ms =
-  let doc = "Base retry backoff (ms), doubled per attempt with jitter." in
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "supervise-backoff-ms" ] ~docv:"MS" ~doc)
-
-let stack_argv sched solver cells cells_mode deadline_ms ladder serve
-    supervise sup_retries sup_threshold sup_cooldown sup_timeout sup_backoff =
+let stack_argv sched solver cells cells_mode deadline_ms ladder serve =
   let opt flag = function Some v -> [ flag; v ] | None -> [] in
   List.concat
     [
@@ -157,20 +120,12 @@ let stack_argv sched solver cells cells_mode deadline_ms ladder serve
       opt "--deadline-ms" (Option.map string_of_float deadline_ms);
       opt "--ladder" ladder;
       (if serve then [ "--serve" ] else []);
-      (if supervise then [ "--supervise" ] else []);
-      opt "--supervise-retries" (Option.map string_of_int sup_retries);
-      opt "--supervise-threshold" (Option.map string_of_int sup_threshold);
-      opt "--supervise-cooldown" (Option.map string_of_int sup_cooldown);
-      opt "--supervise-timeout-ms" (Option.map string_of_float sup_timeout);
-      opt "--supervise-backoff-ms" (Option.map string_of_float sup_backoff);
     ]
 
 let main ids scale seed data_dir sched solver cells cells_mode
-    deadline_ms ladder serve supervise sup_retries sup_threshold sup_cooldown
-    sup_timeout sup_backoff =
+    deadline_ms ladder serve =
   let argv =
     stack_argv sched solver cells cells_mode deadline_ms ladder serve
-      supervise sup_retries sup_threshold sup_cooldown sup_timeout sup_backoff
   in
   let stack =
     if argv = [] then None
@@ -208,8 +163,6 @@ let cmd =
     (Cmd.info "experiments" ~doc)
     Term.(
       const main $ ids $ scale $ seed $ data_dir $ sched $ solver $ cells
-      $ cells_mode $ deadline_ms $ ladder $ serve_flag
-      $ supervise_flag $ supervise_retries $ supervise_threshold
-      $ supervise_cooldown $ supervise_timeout_ms $ supervise_backoff_ms)
+      $ cells_mode $ deadline_ms $ ladder $ serve_flag)
 
 let () = exit (Cmd.eval cmd)

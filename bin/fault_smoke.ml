@@ -16,13 +16,12 @@
    resumed placements are checked bit-for-bit against an uninterrupted
    run of the same fault stream.
 
-   Two domain-level drills ride every round as well: a supervised cells
-   stack is driven through deterministic cell crashes (quarantine +
-   reinstatement), mirror corruption (Desync batch retry) and a stalling
-   domain (join-timeout abandonment); and the serving front end is killed
-   mid-sweep by a process-kill probe and resumed from its journal, with
-   the resumed placements and accounting checked against an uninterrupted
-   run. *)
+   Two domain-level drills ride every round as well: a cells stack in
+   domains mode is driven through one cell crash (the batch is rejected)
+   and one mirror corruption (phase-2 Desync, batch retried); and the
+   serving front end is killed mid-sweep by a process-kill probe and
+   resumed from its journal, with the resumed placements and accounting
+   checked against an uninterrupted run. *)
 
 let budget_s = float_of_int (Engine.Env.int "ALADDIN_FAULT_SMOKE_SECS" 5)
 let base_seed = Engine.Env.int "ALADDIN_FAULT_SMOKE_SEED" 1337
@@ -174,75 +173,55 @@ let exercise_journal w ~n_machines ~seed =
           if fp <> fp_ref then
             failwith "journal crash drill: resumed placements diverged")
 
-(* ---- domain-level drills: cell supervision, serve crash recovery ---- *)
+(* ---- domain-level drills: cell faults, serve crash recovery ---- *)
 
 (* Cells 4 needs a topology with at least four racks; the default rack
-   width would want hundreds of machines, so the cells drills run on a
+   width would want hundreds of machines, so the cells drill runs on a
    narrow 4-machines-per-rack layout. *)
 let cells_cluster w ~n_machines =
   Cluster.create
     (Workload.topology w ~machines_per_rack:4 ~racks_per_group:2 ~n_machines)
     ~constraints:(Workload.constraint_set w)
 
-let supervised_spec ~mode ~supervise =
-  {
-    (bare Engine.Stack.Cells) with
-    Engine.Stack.cells = Some 4;
-    cells_mode = Some mode;
-    supervise = Some supervise;
-  }
-
-let run_supervised spec w ~n_machines =
-  let built = Engine.Stack.build spec in
-  Fun.protect ~finally:built.Engine.Stack.shutdown (fun () ->
-      ignore
-        (Replay.run ~batch:16 built.Engine.Stack.scheduler
-           ~cluster:(cells_cluster w ~n_machines)
-           ~containers:w.Workload.containers))
-
-(* Supervised cells under domain faults. Three deterministic phases:
-   a cell crashing on every probe until it is quarantined (then healthy
-   again, so the half-open probe reinstates it); mirror corruption
-   forcing a phase-2 Desync and a batch retry; and a stalling domain
-   abandoned at the join timeout. Every phase must complete the full
-   workload — supervision converts domain faults into degraded batches,
-   never into lost runs. *)
-let exercise_supervised_cells w ~n_machines ~seed =
-  let sup =
-    {
-      Cells.Supervisor.default with
-      Cells.Supervisor.max_retries = 1;
-      failure_threshold = 2;
-      cooldown = 2;
-      join_timeout_ms = 500.;
-      seed;
-    }
+(* Replay the workload through cells(4) in domains mode under [fault];
+   the run must account for every container and move [counter]. *)
+let cells_drill w ~n_machines ~fault ~counter what =
+  let c = Obs.counter counter in
+  let before = Obs.count c in
+  let built =
+    Engine.Stack.build
+      {
+        (bare Engine.Stack.Cells) with
+        Engine.Stack.cells = Some 4;
+        cells_mode = Some `Domains;
+      }
   in
-  let quarantines = Obs.counter "cells.supervisor.quarantines" in
-  let before = Obs.count quarantines in
-  Fault.install
-    (Fault.make ~cell_crash:1.0 ~cell_targets:[ 1 ] ~cell_fault_budget:4 ~seed
-       ());
-  run_supervised (supervised_spec ~mode:`Sequential ~supervise:sup) w
-    ~n_machines;
-  if Obs.count quarantines = before then
-    failwith "supervised cells: crashing cell was never quarantined";
-  Fault.install
-    (Fault.make ~cell_corrupt:1.0 ~cell_targets:[ 0 ] ~cell_fault_budget:1
-       ~seed ());
-  run_supervised (supervised_spec ~mode:`Sequential ~supervise:sup) w
-    ~n_machines;
-  Fault.install
-    (Fault.make ~cell_slow:1.0 ~cell_stall_s:0.02 ~cell_targets:[ 3 ]
-       ~cell_fault_budget:2 ~seed ());
-  run_supervised (supervised_spec ~mode:`Sequential ~supervise:sup) w
-    ~n_machines;
-  let sup_timeout = { sup with Cells.Supervisor.join_timeout_ms = 30. } in
-  Fault.install
-    (Fault.make ~cell_stall:1.0 ~cell_stall_s:0.1 ~cell_targets:[ 2 ]
-       ~cell_fault_budget:1 ~seed ());
-  run_supervised (supervised_spec ~mode:`Domains ~supervise:sup_timeout) w
-    ~n_machines
+  Fault.install fault;
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        Fault.clear ();
+        built.Engine.Stack.shutdown ())
+      (fun () ->
+        Replay.run ~batch:16 built.Engine.Stack.scheduler
+          ~cluster:(cells_cluster w ~n_machines)
+          ~containers:w.Workload.containers)
+  in
+  let o = r.Replay.outcome in
+  if
+    List.length o.Scheduler.placed + List.length o.Scheduler.undeployed
+    <> r.Replay.n_submitted
+  then failwith (Printf.sprintf "cells %s drill: containers lost" what);
+  if Obs.count c = before then
+    failwith (Printf.sprintf "cells %s drill: %s never moved" what counter)
+
+(* A crashing cell rejects its batch whole; a corrupted mirror trace
+   desyncs phase 2 and the batch is retried. *)
+let exercise_cells w ~n_machines ~seed =
+  cells_drill w ~n_machines "crash" ~counter:"cells.rejected_batches"
+    ~fault:(Fault.make ~cell_crash:1.0 ~cell_fault_budget:1 ~seed ());
+  cells_drill w ~n_machines "corruption" ~counter:"cells.batch_retries"
+    ~fault:(Fault.make ~cell_corrupt:1.0 ~cell_fault_budget:1 ~seed ())
 
 (* Serve crash drill: a journaled serving run under a fixed virtual
    service time is killed mid-sweep by a process-kill probe and resumed
@@ -329,7 +308,7 @@ let () =
        Fault.install (fault_config ~seed ~budget:(1 + (!round mod 2)));
        exercise_replay w ~n_machines;
        exercise_journal w ~n_machines ~seed;
-       exercise_supervised_cells w ~n_machines ~seed;
+       exercise_cells w ~n_machines ~seed;
        exercise_serve_resume w ~n_machines ~seed;
        Fault.clear ()
      done
@@ -367,19 +346,10 @@ let () =
       "cells.desyncs";
       "cells.batch_retries";
       "cells.rejected_batches";
-      "cells.supervisor.cell_failures";
-      "cells.supervisor.retries";
-      "cells.supervisor.stalls";
-      "cells.supervisor.quarantines";
-      "cells.supervisor.reinstatements";
-      "cells.supervisor.probes";
-      "cells.supervisor.redistributed_machines";
       "serve.taken_requests";
       "serve.resume.resumes";
       "serve.resume.replayed_batches";
       "serve.resume.replayed_requests";
       "fault.cell_crashes";
-      "fault.cell_stalls";
-      "fault.cell_slowdowns";
       "fault.cell_corruptions";
     ]

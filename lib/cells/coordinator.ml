@@ -23,29 +23,13 @@
    bit-for-bit those of the unsharded scheduler (the differential
    suite's anchor case).
 
-   Supervision (optional): with a [Supervisor.t] attached, cells become
-   real fault domains. Phase 1 stops being all-or-nothing — a cell whose
-   task fails with a recoverable error is retried in isolation (bounded,
-   with jittered exponential backoff, on a freshly rebuilt mirror), a
-   cell that hangs past the join timeout is abandoned (the pool is
-   retired and replaced; the straggler domain finishes into a discarded
-   mirror and then exits), and a cell that ultimately fails only costs
-   its own sub-batch, which rides the phase-2 fix-up (or goes
-   undeployed). The supervisor's circuit breaker quarantines a cell
-   after repeated failures: its machines are redistributed to
-   neighbouring cells via [Partition.reslice], and after a cooldown the
-   cell rejoins half-open — the next batch it is assigned is the probe
-   that reinstates it or re-opens the breaker. *)
+   Phase 1 is all-or-nothing: a cell task that raises fails the whole
+   batch before the outer cluster is touched, and the mirrors are
+   rebuilt on the next batch. *)
 
 exception Desync of string
 
 type mode = [ `Auto | `Domains | `Sequential ]
-
-let mode_of_env () =
-  match Sys.getenv_opt "ALADDIN_CELLS_MODE" with
-  | Some "domains" -> `Domains
-  | Some "sequential" -> `Sequential
-  | Some _ | None -> `Auto
 
 type breakdown = {
   cell_ms : float array;  (** per-cell phase-1 wall ms; 0 for idle cells *)
@@ -57,18 +41,14 @@ type breakdown = {
 
 type cell_state = {
   idx : int;
-  mutable lo : int;  (** global machine id of the cell's local machine 0 *)
+  lo : int;  (** global machine id of the cell's local machine 0 *)
   mutable mirror : Cluster.t;
-  mutable sched : Scheduler.t;
-      (** replaced after a stall: the abandoned straggler still owns the
-          old scheduler object, so it must never be reused *)
+  sched : Scheduler.t;
 }
 
 type bind = {
   outer : Cluster.t;
-  base_part : Partition.t;  (** the full partition, before any reslice *)
-  mutable part : Partition.t;
-  mutable live : bool array;
+  part : Partition.t;
   cells : cell_state array;
   free_cpu : int array;  (** per-cell online free CPU, kept incrementally *)
   mutable expected_version : int;
@@ -83,10 +63,7 @@ type t = {
   make_cell : cell:int -> n_cells:int -> Scheduler.t;
   fixup_run : (Cluster.t -> Container.t array -> Scheduler.outcome) option;
   recoverable : exn -> bool;
-  supervisor : Supervisor.t option;
   mutable pool : Pool.t option;
-  mutable retired : Pool.t list;
-      (** abandoned pools, stopped but not joined until {!shutdown} *)
   mutable bound : bind option;
 }
 
@@ -100,8 +77,8 @@ let c_fixup_placed = Obs.counter "cells.fixup_placed"
 let h_cell = Obs.histogram "cells.cell_ns"
 let h_fixup = Obs.histogram "cells.fixup_ns"
 
-let create ?(mode = `Auto) ?(fixup = true) ?fixup_run ?supervisor ~recoverable
-    ~n_cells make_cell =
+let create ?(mode = `Auto) ?(fixup = true) ?fixup_run ~recoverable ~n_cells
+    make_cell =
   {
     req_cells = max 1 n_cells;
     mode;
@@ -109,56 +86,30 @@ let create ?(mode = `Auto) ?(fixup = true) ?fixup_run ?supervisor ~recoverable
     make_cell;
     fixup_run;
     recoverable;
-    supervisor;
     pool = None;
-    retired = [];
     bound = None;
   }
 
-let supervisor t = t.supervisor
-
-(* An abandoned pool (timed-out or interrupted join) is retired: its
-   idle workers exit now and its straggler when its finite stall ends, so
-   abandoned pools never accumulate live domains. {!shutdown} joins them. *)
-let retire_pool t =
-  Option.iter
-    (fun p ->
-      Pool.retire p;
-      t.retired <- p :: t.retired)
-    t.pool;
-  t.pool <- None
-
-(* Supervised pools put a worker on EVERY cell (not n-1): the caller must
-   stay free to time the join out instead of draining — a hung task
-   picked up by the caller could never be abandoned. *)
+(* An abandoned pool (interrupted wait) is joined and replaced. *)
 let pool_for t n_cells =
   match t.pool with
   | Some p when not (Pool.abandoned p) -> p
-  | _ ->
-      retire_pool t;
-      let supervised = t.supervisor <> None in
+  | stale ->
+      Option.iter Pool.shutdown stale;
       let workers =
         match t.mode with
         | `Sequential -> 0
-        | `Domains -> if supervised then n_cells else n_cells - 1
-        | `Auto ->
-            let rdc = Domain.recommended_domain_count () in
-            if supervised then min n_cells (max 1 (rdc - 1))
-            else min (n_cells - 1) (rdc - 1)
+        | `Domains -> n_cells - 1
+        | `Auto -> min (n_cells - 1) (Domain.recommended_domain_count () - 1)
       in
       let p = Pool.create ~workers:(max 0 workers) in
       t.pool <- Some p;
       p
 
-let shutdown t =
-  Option.iter Pool.shutdown t.pool;
-  List.iter Pool.shutdown t.retired;
-  t.retired <- []
+let shutdown t = Option.iter Pool.shutdown t.pool
 
 let cpu_of (c : Container.t) =
   max 1 (Resource.get c.Container.demand Resource.cpu_dim)
-
-let refresh_lo b cs = cs.lo <- fst (Partition.bounds b.part cs.idx)
 
 let free_cpu_of_outer b cs =
   let lo, hi = Partition.bounds b.part cs.idx in
@@ -173,30 +124,24 @@ let free_cpu_of_outer b cs =
   done;
   b.free_cpu.(cs.idx) <- !acc
 
-let fresh_mirror b cs =
-  cs.mirror <-
-    Cluster.create
-      (Partition.sub_topology b.part cs.idx)
-      ~constraints:(Cluster.constraints b.outer);
-  let lo, hi = Partition.bounds b.part cs.idx in
-  for g = lo to hi - 1 do
-    if Cluster.is_offline b.outer g then
-      Cluster.set_offline cs.mirror (g - lo) true
-  done
-
 (* Mirrors are rebuilt from scratch rather than patched: a rebuild gives
    each cell a *fresh* Cluster identity, and the per-cell scheduler binds
    its carried search to that identity, so a rebuilt mirror gets a fresh
    search (a refresh would reseed from the mirror anyway). Rebuilds are rare
-   (bind, out-of-band outer mutation, post-failure, rotation change).
-   Quarantined cells own a zero-width slice and are skipped — their stale
-   mirror object is never assigned work nor replayed into. *)
+   (bind, out-of-band outer mutation, failed batch). *)
 let rebuild_mirrors b =
   let outer = b.outer in
   Array.iter
     (fun cs ->
-      refresh_lo b cs;
-      if Partition.n_machines_of b.part cs.idx > 0 then fresh_mirror b cs)
+      cs.mirror <-
+        Cluster.create
+          (Partition.sub_topology b.part cs.idx)
+          ~constraints:(Cluster.constraints outer);
+      let lo, hi = Partition.bounds b.part cs.idx in
+      for g = lo to hi - 1 do
+        if Cluster.is_offline outer g then
+          Cluster.set_offline cs.mirror (g - lo) true
+      done)
     b.cells;
   List.iter
     (fun (cid, g) ->
@@ -213,55 +158,9 @@ let rebuild_mirrors b =
   b.expected_version <- Cluster.version outer;
   b.dirty <- false
 
-(* Rebuild exactly one cell's mirror from the outer cluster — the repair
-   step between per-cell retry attempts (the failed attempt may have
-   half-mutated the mirror) and after a terminal cell failure (phase 2's
-   fix-up still replays its events into every live mirror). *)
-let rebuild_one b cs =
-  refresh_lo b cs;
-  if Partition.n_machines_of b.part cs.idx > 0 then begin
-    fresh_mirror b cs;
-    let lo, hi = Partition.bounds b.part cs.idx in
-    List.iter
-      (fun (cid, g) ->
-        if g >= lo && g < hi then
-          match Cluster.container b.outer cid with
-          | None -> ()
-          | Some c -> (
-              match Cluster.place ~force:true cs.mirror c (g - lo) with
-              | Ok () -> ()
-              | Error _ -> raise (Desync "mirror rejected outer placement")))
-      (Cluster.placements b.outer)
-  end;
-  free_cpu_of_outer b cs
-
-(* Recompute the live set from the supervisor's breakers and reslice the
-   partition when it changed. Half-open cells are live: getting their
-   machines (and their next sub-batch) back IS the probe. *)
-let update_rotation t b =
-  match t.supervisor with
-  | None -> ()
-  | Some sup ->
-      let live = Supervisor.live sup ~n_cells:(Array.length b.cells) in
-      if live <> b.live then begin
-        let old_part = b.part in
-        b.part <- Partition.reslice b.base_part ~live;
-        let moved = ref 0 in
-        Array.iter
-          (fun cs ->
-            let o = Partition.n_machines_of old_part cs.idx in
-            let m = Partition.n_machines_of b.part cs.idx in
-            if m > o then moved := !moved + (m - o))
-          b.cells;
-        Supervisor.note_redistributed !moved;
-        b.live <- live;
-        b.dirty <- true
-      end
-
 let sync t outer =
   match t.bound with
   | Some b when b.outer == outer ->
-      update_rotation t b;
       if b.dirty || Cluster.version outer <> b.expected_version then begin
         Obs.incr c_resyncs;
         rebuild_mirrors b
@@ -287,9 +186,7 @@ let sync t outer =
       let b =
         {
           outer;
-          base_part = part;
           part;
-          live = Array.make n true;
           cells;
           free_cpu = Array.make n 0;
           expected_version = -1;
@@ -297,7 +194,6 @@ let sync t outer =
           last = None;
         }
       in
-      update_rotation t b;
       rebuild_mirrors b;
       t.bound <- Some b;
       b
@@ -307,20 +203,18 @@ let sync t outer =
    overflowing to the next-best when it runs dry. Sub-batches preserve the
    original batch order (with one cell this makes the sub-batch *be* the
    batch, which the exact-equivalence anchor depends on). Estimates are a
-   scratch copy — the persistent ones advance only on applied events.
-   Quarantined (zero-machine) cells are never eligible. *)
+   scratch copy — the persistent ones advance only on applied events. *)
 let assign b batch =
   let n = Array.length b.cells in
   if n = 1 then [| batch |]
   else begin
     let est = Array.copy b.free_cpu in
-    let eligible = Array.init n (fun i -> Partition.n_machines_of b.part i > 0) in
     let argmax () =
-      let best = ref (-1) in
-      for i = 0 to n - 1 do
-        if eligible.(i) && (!best < 0 || est.(i) > est.(!best)) then best := i
+      let best = ref 0 in
+      for i = 1 to n - 1 do
+        if est.(i) > est.(!best) then best := i
       done;
-      max 0 !best
+      !best
     in
     let cell_of = Array.make (Array.length batch) 0 in
     let order = ref [] in
@@ -401,30 +295,19 @@ let mirror_outer_events b evs =
           | _ -> raise (Desync "mirror missing fixup removal")))
     evs
 
-(* One cell's phase-1 task. The mirror object is captured at call time so
-   a straggler abandoned after a join timeout keeps mutating (and clears
-   the tracer of) its own discarded mirror, never a rebuilt one. Domain
-   faults are probed here: a crash raises, a stall/slowdown sleeps wall
-   time, and the corruption verdict duplicates the newest placement event
-   — which phase 2 then detects as a Desync. *)
+(* One cell's phase-1 task. Domain faults are probed here: a crash
+   raises, and the corruption verdict duplicates the newest placement
+   event — which phase 2 then detects as a Desync. *)
 let cell_task b ambient subs ci () =
   let cs = b.cells.(ci) in
-  (* Capture mirror and scheduler before the (possibly stalling) fault
-     probe: a straggler abandoned after a join timeout keeps using its own
-     snapshot while the cell is rebuilt around it. *)
-  let mirror = cs.mirror in
-  let sched = cs.sched in
-  (match Fault.cell_fault ~cell:ci with
-  | `None -> ()
-  | `Crash -> raise (Fault.Injected "cells.cell_fault")
-  | `Stall s | `Slow s -> if s > 0. then Unix.sleepf s);
+  if Fault.cell_crash ~cell:ci then raise (Fault.Injected "cells.cell_fault");
   let events = ref [] in
-  Cluster.set_tracer mirror (Some (fun ev -> events := ev :: !events));
+  Cluster.set_tracer cs.mirror (Some (fun ev -> events := ev :: !events));
   let t0 = Obs.now_ns () in
-  let run () = sched.Scheduler.schedule mirror subs.(ci) in
+  let run () = cs.sched.Scheduler.schedule cs.mirror subs.(ci) in
   let outcome =
     Fun.protect
-      ~finally:(fun () -> Cluster.set_tracer mirror None)
+      ~finally:(fun () -> Cluster.set_tracer cs.mirror None)
       (fun () ->
         match ambient with
         | None -> run ()
@@ -438,77 +321,6 @@ let cell_task b ambient subs ci () =
     | _ -> ());
   (ci, outcome, List.rev !events, Int64.to_float dt /. 1e6)
 
-(* Supervised phase 1: per-cell verdicts instead of all-or-nothing.
-   Recoverable failures retry in isolation (bounded, backed off, on a
-   rebuilt mirror, on the calling domain — deterministic in cell order);
-   stalls past the join timeout abandon the pool and fail the cell
-   without retry (the straggler still owns the old mirror); terminal
-   failures surrender the cell's sub-batch to phase 2. Non-recoverable
-   errors (deadline expiry, kills) still travel. *)
-let phase1_supervised t b sup subs active ambient =
-  Array.iter
-    (fun ci -> if Supervisor.is_probing sup ~cell:ci then Supervisor.note_probe ())
-    active;
-  let tasks = Array.map (fun ci -> cell_task b ambient subs ci) active in
-  let pool = pool_for t (Array.length b.cells) in
-  let timeout_ms = (Supervisor.config sup).Supervisor.join_timeout_ms in
-  let initial =
-    if Pool.n_workers pool = 0 || timeout_ms <= 0. then
-      Array.map Option.some (Pool.run pool tasks)
-    else
-      match Pool.run_within pool ~timeout_s:(timeout_ms /. 1e3) tasks with
-      | `Done rs -> Array.map Option.some rs
-      | `Timed_out partial ->
-          retire_pool t;
-          partial
-  in
-  let max_retries = (Supervisor.config sup).Supervisor.max_retries in
-  let ok = ref [] in
-  let failed = ref [] in
-  let succeed ((ci, _, _, ms) as res) =
-    ignore (Supervisor.record_success sup ~cell:ci ~ms);
-    ok := res :: !ok
-  in
-  let fail ci =
-    ignore (Supervisor.record_failure sup ~cell:ci);
-    (* phase 2's fix-up replays into every live mirror, so even a failed
-       cell's mirror must reflect outer truth before we continue *)
-    rebuild_one b b.cells.(ci);
-    failed := ci :: !failed
-  in
-  let rec retry ci attempt =
-    if attempt >= max_retries then None
-    else begin
-      Unix.sleepf (Supervisor.backoff_s sup ~attempt);
-      Supervisor.note_retry ();
-      rebuild_one b b.cells.(ci);
-      match cell_task b ambient subs ci () with
-      | res -> Some res
-      | exception e when t.recoverable e -> retry ci (attempt + 1)
-    end
-  in
-  Array.iteri
-    (fun k r ->
-      let ci = active.(k) in
-      match r with
-      | Some (Ok res) -> succeed res
-      | None ->
-          (* Stalled past the join timeout. The abandoned straggler still
-             owns this cell's scheduler object, so retire it: later
-             batches must not race its carried search against the
-             straggler. *)
-          Supervisor.note_stall ();
-          let cs = b.cells.(ci) in
-          cs.sched <- t.make_cell ~cell:ci ~n_cells:(Array.length b.cells);
-          fail ci
-      | Some (Error e) when t.recoverable e -> (
-          match retry ci 0 with Some res -> succeed res | None -> fail ci)
-      | Some (Error e) ->
-          b.dirty <- true;
-          raise e)
-    initial;
-  (Array.of_list (List.rev !ok), List.rev !failed)
-
 let attempt t outer batch =
   let b = sync t outer in
   let n = Array.length b.cells in
@@ -521,28 +333,19 @@ let attempt t outer batch =
   (* The ambient deadline is per-domain; capture it here and re-arm it
      inside every worker task so one batch budget bounds all cells. *)
   let ambient = Flownet.Deadline.ambient () in
-  let results, failed_cells =
-    match t.supervisor with
-    | Some sup -> phase1_supervised t b sup subs active ambient
-    | None ->
-        let tasks = Array.map (fun ci -> cell_task b ambient subs ci) active in
-        let results = Pool.run (pool_for t n) tasks in
-        (* All-or-nothing phase 1: any failed cell poisons its mirror (and
-           the succeeded cells' mirrors have run ahead of the untouched
-           outer), so mark dirty and let the error travel — the outer
-           cluster was never mutated. Deadline expiry passes through to
-           the ladder above us. *)
-        Array.iter
-          (function
-            | Error e ->
-                b.dirty <- true;
-                raise e
-            | Ok _ -> ())
-          results;
-        ( Array.map (function Ok r -> r | Error _ -> assert false) results,
-          [] )
+  (* All-or-nothing phase 1: any failed cell poisons its mirror (and the
+     succeeded cells' mirrors have run ahead of the untouched outer), so
+     mark dirty and let the error travel — the outer cluster was never
+     mutated. Deadline expiry passes through to the ladder above us. *)
+  let results =
+    Pool.run (pool_for t n)
+      (Array.map (fun ci -> cell_task b ambient subs ci) active)
+    |> Array.map (function
+         | Ok r -> r
+         | Error e ->
+             b.dirty <- true;
+             raise e)
   in
-  let failed_subs = List.map (fun ci -> subs.(ci)) failed_cells in
   let fixup_out = ref None in
   let fixup_ms = ref 0. in
   let fixup_n = ref 0 in
@@ -561,11 +364,9 @@ let attempt t outer batch =
         let leftovers =
           if fixup_path then
             Array.concat
-              (List.concat_map
-                 (fun (_, o, _, _) ->
-                   [ Array.of_list o.Scheduler.undeployed ])
-                 (Array.to_list results)
-              @ failed_subs)
+              (List.map
+                 (fun (_, o, _, _) -> Array.of_list o.Scheduler.undeployed)
+                 (Array.to_list results))
           else [||]
         in
         fixup_n := Array.length leftovers;
@@ -623,9 +424,7 @@ let attempt t outer batch =
     | Some fo -> fo.Scheduler.undeployed
     | None ->
         if fixup_path then [] (* leftovers were empty *)
-        else
-          List.concat_map (fun o -> o.Scheduler.undeployed) cell_outcomes
-          @ List.concat_map Array.to_list failed_subs
+        else List.concat_map (fun o -> o.Scheduler.undeployed) cell_outcomes
   in
   let sum f =
     List.fold_left (fun acc o -> acc + f o) 0
@@ -648,45 +447,24 @@ let schedule t outer batch =
     Obs.incr c_rejected;
     Scheduler.reject_outcome batch
   in
-  (* Cooldowns tick once per batch, before rotation is applied in sync —
-     never per attempt, so desync retries within a batch don't fast-run
-     a quarantined cell's clock. *)
-  Option.iter (fun sup -> ignore (Supervisor.tick sup)) t.supervisor;
-  let batch_retries =
-    match t.supervisor with
-    | Some sup -> max 1 (Supervisor.config sup).Supervisor.max_retries
-    | None -> 1
-  in
   try
     (* Harness probe before any mutation: a tripped coordinator batch is
        rejected whole, outer untouched. *)
     Fault.trip_solver_step "cells.batch";
     attempt t outer batch
   with
-  | Desync _ ->
+  | Desync _ -> (
       Obs.incr c_desyncs;
       Option.iter (fun b -> b.dirty <- true) t.bound;
       (* Phase 2 already rolled the outer cluster back; rebuild mirrors
-         and retry the whole batch — once unsupervised, up to the
-         supervisor's retry budget (with backoff) otherwise. *)
-      let rec again k =
-        Obs.incr c_batch_retries;
-        (match t.supervisor with
-        | Some sup when k > 0 ->
-            Unix.sleepf (Supervisor.backoff_s sup ~attempt:(k - 1))
-        | _ -> ());
-        match attempt t outer batch with
-        | o -> o
-        | exception Desync _ ->
-            Option.iter (fun b -> b.dirty <- true) t.bound;
-            if k + 1 < batch_retries then begin
-              Obs.incr c_desyncs;
-              again (k + 1)
-            end
-            else reject ()
-        | exception e when t.recoverable e -> reject ()
-      in
-      again 0
+         and retry the whole batch once. *)
+      Obs.incr c_batch_retries;
+      match attempt t outer batch with
+      | o -> o
+      | exception Desync _ ->
+          Option.iter (fun b -> b.dirty <- true) t.bound;
+          reject ()
+      | exception e when t.recoverable e -> reject ())
   | e when t.recoverable e -> reject ()
   | e ->
       (* Non-recoverable (Deadline.Expired, Killed, genuine bugs): the

@@ -15,14 +15,7 @@
 
     With [n_cells = 1] the coordinator degenerates to the inner scheduler
     on a full-cluster mirror and reproduces the unsharded scheduler's
-    placements exactly — the anchor case of the differential suite.
-
-    With a {!Supervisor.t} attached, cells become fault domains: phase 1
-    survives individual cell failures (bounded per-cell retry with
-    jittered backoff on a rebuilt mirror), hung cells are abandoned at
-    the join timeout, and repeat offenders are quarantined — their
-    machines resliced to neighbouring cells ({!Partition.reslice}) until
-    a half-open probe reinstates them. *)
+    placements exactly — the anchor case of the differential suite. *)
 
 exception Desync of string
 
@@ -30,10 +23,6 @@ type mode = [ `Auto | `Domains | `Sequential ]
 (** [`Domains] forces [n_cells - 1] worker domains, [`Sequential] forces
     inline single-domain execution (bit-for-bit deterministic ordering),
     [`Auto] spawns [min (n_cells - 1) (recommended_domain_count - 1)]. *)
-
-val mode_of_env : unit -> mode
-(** [ALADDIN_CELLS_MODE] — ["domains"], ["sequential"], anything else
-    (or unset) is [`Auto]. *)
 
 type breakdown = {
   cell_ms : float array;  (** per-cell phase-1 wall ms; 0 for idle cells *)
@@ -49,7 +38,6 @@ val create :
   ?mode:mode ->
   ?fixup:bool ->
   ?fixup_run:(Cluster.t -> Container.t array -> Scheduler.outcome) ->
-  ?supervisor:Supervisor.t ->
   recoverable:(exn -> bool) ->
   n_cells:int ->
   (cell:int -> n_cells:int -> Scheduler.t) ->
@@ -59,14 +47,8 @@ val create :
     handles phase-2 leftovers on the outer cluster ([~fixup:false]
     disables phase 2; leftovers are then reported undeployed).
     [recoverable] classifies exceptions that reject the batch rather than
-    propagate (mirrors are rebuilt either way). [supervisor] turns on
-    cell supervision: per-cell retry/quarantine instead of all-or-nothing
-    phase 1; a failed cell's sub-batch rides the fix-up (or goes
-    undeployed when fix-up is off or [n_cells = 1]). Supervised pools in
-    [`Domains]/[`Auto] mode put a worker on every cell so the caller can
-    time the join out instead of draining. *)
-
-val supervisor : t -> Supervisor.t option
+    propagate (mirrors are rebuilt either way): a cell task raising one
+    rejects the whole batch with the outer cluster untouched. *)
 
 val schedule : t -> Cluster.t -> Container.t array -> Scheduler.outcome
 (** One batch through both phases. The outcome lists final placements in
@@ -80,8 +62,8 @@ val scheduler : t -> name:string -> Scheduler.t
     middleware stack. *)
 
 val shutdown : t -> unit
-(** Stop and join the worker-domain pool and every pool retired after a
-    join timeout (idempotent; also hooked on [at_exit]). *)
+(** Stop and join the worker-domain pool (idempotent; also hooked on
+    [at_exit]). *)
 
 val n_cells : t -> int
 (** Effective cell count: the partition's once bound, else the request. *)

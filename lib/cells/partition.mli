@@ -21,27 +21,4 @@ val n_machines_of : t -> int -> int
 val cell_of_machine : t -> int -> int
 
 val sub_topology : t -> int -> Topology.t
-(** The cell's rack-aligned {!Topology.slice}.
-    @raise Invalid_argument on a cell whose range is empty (a quarantined
-    cell after {!reslice}) — guard with {!n_machines_of}. *)
-
-val reslice : t -> live:bool array -> t
-(** Redistribute quarantined cells' machines: every cell with
-    [live.(c) = false] hands its whole range to the nearest live
-    neighbour (left preferred, right for a dead prefix) and keeps a
-    zero-width range, so {!n_machines_of} is [0] and
-    {!cell_of_machine} never maps to it. Cell indices are stable and
-    bounds stay rack-aligned and contiguous (each live cell absorbs a
-    contiguous block). [reslice t ~live] with every cell live returns
-    [t] unchanged — reinstatement is reslicing the original partition
-    with the updated live set.
-    @raise Invalid_argument when [live] has the wrong length or no cell
-    is live. *)
-
-val cells_of_env : unit -> int list option
-(** [ALADDIN_CELLS] as a comma-separated list of cell counts (entries
-    that fail to parse as positive ints are dropped); [None] when unset
-    or empty. *)
-
-val default_cells : unit -> int
-(** The last (most sharded) entry of {!cells_of_env}, or [1]. *)
+(** The cell's rack-aligned {!Topology.slice}. *)

@@ -12,26 +12,17 @@
    The mutex/condition handshake doubles as the memory-model edge: task
    results written by a worker happen-before the coordinator's read of
    [unfinished = 0], so [run]'s caller sees fully initialised results
-   (and fully merged Obs shard updates). The per-task [completed] flags
-   are written and read under the same mutex, which is what lets
-   [run_within] harvest the subset of results whose tasks finished
-   before a join timeout without racing the stragglers.
+   (and fully merged Obs shard updates).
 
-   Domains cannot be killed, so "abandoning" a hung job means marking the
-   pool unusable ([abandoned]) and leaving the stuck domain to finish on
-   its own time; the supervisor above us retires the pool and builds a
-   fresh one. [retire] stops the pool without joining: idle workers exit
-   at once, the straggler when its task returns, and no retired worker
-   starts another task. [shutdown] still joins — the injected stalls this
-   exists for are finite, and a genuinely infinite task would otherwise
-   turn process exit into a hang with no diagnostic. *)
+   An interrupted wait in [run] leaves workers mid-task with no safe way
+   to reset the job, so it marks the pool [abandoned] and every later
+   [run] refuses it. *)
 
 type t = {
   lock : Mutex.t;
   work : Condition.t;
   done_ : Condition.t;
   mutable tasks : (unit -> unit) array;
-  mutable completed : bool array;
   mutable next : int;
   mutable unfinished : int;
   mutable epoch : int;
@@ -49,7 +40,6 @@ let drain t =
       let i = t.next in
       t.next <- i + 1;
       let task = t.tasks.(i) in
-      let completed = t.completed in
       Mutex.unlock t.lock;
       (* [run] wraps tasks so they never raise, but an exception escaping
          here would kill the worker domain and strand the job (unfinished
@@ -57,7 +47,6 @@ let drain t =
          poison the pool for every later user. *)
       (try task () with _ -> ());
       Mutex.lock t.lock;
-      if i < Array.length completed then completed.(i) <- true;
       t.unfinished <- t.unfinished - 1;
       if t.unfinished = 0 then Condition.broadcast t.done_
     end
@@ -80,12 +69,6 @@ let worker t () =
   done;
   Mutex.unlock t.lock
 
-let retire t =
-  Mutex.protect t.lock (fun () ->
-      t.abandoned <- true;
-      t.stop <- true;
-      Condition.broadcast t.work)
-
 let shutdown t =
   let ds =
     Mutex.protect t.lock (fun () ->
@@ -104,7 +87,6 @@ let create ~workers =
       work = Condition.create ();
       done_ = Condition.create ();
       tasks = [||];
-      completed = [||];
       next = 0;
       unfinished = 0;
       epoch = 0;
@@ -121,43 +103,37 @@ let create ~workers =
   end;
   t
 
-let n_workers t = Array.length t.domains
 let abandoned t = t.abandoned
 
 (* Called with the lock held; raises with it released. *)
 let check_idle t =
   if t.abandoned then begin
     Mutex.unlock t.lock;
-    invalid_arg "Pool.run: pool abandoned (timed-out or interrupted job)"
+    invalid_arg "Pool.run: pool abandoned (interrupted job)"
   end;
   if t.unfinished > 0 then begin
     Mutex.unlock t.lock;
     invalid_arg "Pool.run: pool is already running a job"
   end
 
-let wrap fs results =
-  Array.init (Array.length fs) (fun i () ->
-      results.(i) <- (try Ok (fs.(i) ()) with e -> Error e))
-
-let publish t thunks n =
-  t.tasks <- thunks;
-  t.completed <- Array.make n false;
-  t.next <- 0;
-  t.unfinished <- n;
-  t.epoch <- t.epoch + 1;
-  Condition.broadcast t.work
-
 let run t fs =
   let n = Array.length fs in
   if n = 0 then [||]
   else begin
     let results = Array.make n (Error Exit) in
-    let thunks = wrap fs results in
+    let thunks =
+      Array.init n (fun i () ->
+          results.(i) <- (try Ok (fs.(i) ()) with e -> Error e))
+    in
     if Array.length t.domains = 0 then Array.iter (fun f -> f ()) thunks
     else begin
       Mutex.lock t.lock;
       check_idle t;
-      publish t thunks n;
+      t.tasks <- thunks;
+      t.next <- 0;
+      t.unfinished <- n;
+      t.epoch <- t.epoch + 1;
+      Condition.broadcast t.work;
       (try
          drain t;
          while t.unfinished > 0 do
@@ -175,52 +151,4 @@ let run t fs =
       Mutex.unlock t.lock
     end;
     results
-  end
-
-let run_within t ~timeout_s fs =
-  let n = Array.length fs in
-  if n = 0 then `Done [||]
-  else if Array.length t.domains = 0 then
-    (* No workers to time out against: inline execution, like [run]. *)
-    `Done (run t fs)
-  else begin
-    let results = Array.make n (Error Exit) in
-    let thunks = wrap fs results in
-    Mutex.lock t.lock;
-    check_idle t;
-    publish t thunks n;
-    (* The caller must NOT drain: picking up a task would make the caller
-       itself the hung domain. It waits out the join with a polling sleep
-       (OCaml's Condition has no timed wait) — ~0.2 ms granularity, which
-       is noise against a cell solve and bounded by [timeout_s]. *)
-    let deadline =
-      Int64.add (Obs.now_ns ()) (Int64.of_float (timeout_s *. 1e9))
-    in
-    let timed_out = ref false in
-    while t.unfinished > 0 && not !timed_out do
-      if Obs.now_ns () >= deadline then timed_out := true
-      else begin
-        Mutex.unlock t.lock;
-        Unix.sleepf 2e-4;
-        Mutex.lock t.lock
-      end
-    done;
-    if not !timed_out then begin
-      t.tasks <- [||];
-      Mutex.unlock t.lock;
-      `Done results
-    end
-    else begin
-      (* Harvest what finished; the [completed] flags are only set under
-         the lock after the task returned, so a [Some] here is a fully
-         published result even while stragglers keep running. The pool is
-         poisoned — the stuck domain still owns the published task array. *)
-      let partial =
-        Array.init n (fun i ->
-            if t.completed.(i) then Some results.(i) else None)
-      in
-      t.abandoned <- true;
-      Mutex.unlock t.lock;
-      `Timed_out partial
-    end
   end

@@ -14,21 +14,13 @@ let name ~cells options =
   Printf.sprintf "Cells(%d|%s)" cells
     (Aladdin_scheduler.name_of_options options)
 
-let create ?cells ?mode ?(options = Aladdin_scheduler.default_options)
-    ?(fixup = true) ?supervise () =
-  let mode =
-    match mode with Some m -> m | None -> Cells.Coordinator.mode_of_env ()
-  in
-  let cells =
-    match cells with Some n -> n | None -> Cells.Partition.default_cells ()
-  in
+let create ?(cells = 1) ?(mode = `Auto)
+    ?(options = Aladdin_scheduler.default_options) ?(fixup = true) () =
   let make_cell ~cell:_ ~n_cells:_ = Aladdin_scheduler.make ~options () in
-  let supervisor = Option.map Cells.Supervisor.create supervise in
   let coordinator =
     Cells.Coordinator.create ~mode ~fixup
       ~fixup_run:(Aladdin_scheduler.schedule_raw options)
-      ?supervisor ~recoverable:Aladdin_scheduler.recoverable ~n_cells:cells
-      make_cell
+      ~recoverable:Aladdin_scheduler.recoverable ~n_cells:cells make_cell
   in
   let scheduler =
     Cells.Coordinator.scheduler coordinator ~name:(name ~cells options)
@@ -41,5 +33,5 @@ let n_cells t = t.n_cells
 let shutdown t = Cells.Coordinator.shutdown t.coordinator
 let last_breakdown t = Cells.Coordinator.last_breakdown t.coordinator
 
-let make ?cells ?mode ?options ?fixup ?supervise () =
-  (create ?cells ?mode ?options ?fixup ?supervise ()).scheduler
+let make ?cells ?mode ?options ?fixup () =
+  (create ?cells ?mode ?options ?fixup ()).scheduler

@@ -1,11 +1,10 @@
 (** The Aladdin scheduler sharded over multicore scheduling cells.
 
     The cluster is partitioned into rack-aligned cells (cell count from
-    [?cells], default the last [ALADDIN_CELLS] entry or [1]; execution
-    mode from [?mode], default [ALADDIN_CELLS_MODE] or [`Auto]); each cell
-    runs a private Aladdin stack on its own mirror cluster, on its own
-    domain, and one bare Algorithm-1 fix-up run over the whole outer
-    cluster handles the containers no cell could place.
+    [?cells], default [1]; execution mode from [?mode], default
+    [`Auto]); each cell runs a private Aladdin stack on its own mirror
+    cluster, on its own domain, and one bare Algorithm-1 fix-up run over
+    the whole outer cluster handles the containers no cell could place.
     See {!Cells.Coordinator} for the consistency protocol.
 
     With [~cells:1] the composite reproduces the unsharded
@@ -21,12 +20,8 @@ val create :
   ?mode:Cells.Coordinator.mode ->
   ?options:Aladdin_scheduler.options ->
   ?fixup:bool ->
-  ?supervise:Cells.Supervisor.config ->
   unit ->
   t
-(** [?supervise] attaches a {!Cells.Supervisor} to the coordinator —
-    per-cell retry/backoff, join timeouts, and quarantine with machine
-    redistribution instead of all-or-nothing phase 1. *)
 
 val scheduler : t -> Scheduler.t
 (** The composite scheduler, wrapped in [cells.*] batch obs. *)
@@ -40,7 +35,6 @@ val make :
   ?mode:Cells.Coordinator.mode ->
   ?options:Aladdin_scheduler.options ->
   ?fixup:bool ->
-  ?supervise:Cells.Supervisor.config ->
   unit ->
   Scheduler.t
 (** {!create} returning just the scheduler (worker domains are parked

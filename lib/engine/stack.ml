@@ -27,7 +27,6 @@ type spec = {
   solver : string option;
   cells : int option;
   cells_mode : Cells.Coordinator.mode option;
-  supervise : Cells.Supervisor.config option;
   deadline_ms : float;
   ladder_rungs : string list option;
   audit : bool;
@@ -48,7 +47,6 @@ let default =
     solver = None;
     cells = None;
     cells_mode = None;
-    supervise = None;
     deadline_ms = 0.;
     ladder_rungs = None;
     audit = false;
@@ -113,6 +111,8 @@ let of_name ?(base = default) s =
                (String.concat ", "
                   (known_names @ Flownet.Registry.names ()))))
 
+let modes = "auto|domains|sequential"
+
 let mode_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "domains" -> Some `Domains
@@ -127,29 +127,30 @@ let of_env ?(base = default) () =
       { spec with solver = Some (Flownet.Registry.env_name ()) }
     else spec
   in
-  let spec =
-    if Env.set "ALADDIN_CELLS" then
-      { spec with cells = Some (Cells.Partition.default_cells ()) }
-    else spec
+  (* The cells knobs parse as their flags do; a blank value reads as
+     unset, and a bad one is an error naming the expected values. *)
+  let knob name ~expected parse =
+    match Sys.getenv_opt name with
+    | Some s when String.trim s <> "" -> (
+        match parse (String.trim s) with
+        | Some v -> Some v
+        | None ->
+            invalid_arg (Printf.sprintf "%s: %S (expected %s)" name s expected))
+    | _ -> None
   in
   let spec =
-    if Env.set "ALADDIN_CELLS_MODE" then
-      { spec with cells_mode = Some (Cells.Coordinator.mode_of_env ()) }
-    else spec
+    match
+      knob "ALADDIN_CELLS" ~expected:"a positive integer" (fun s ->
+          Option.bind (int_of_string_opt s) (fun n ->
+              if n >= 1 then Some n else None))
+    with
+    | Some n -> { spec with cells = Some n }
+    | None -> spec
   in
   let spec =
-    (* ALADDIN_SUPERVISE turns supervision on; any sub-knob implies it *)
-    if
-      List.exists Env.set
-        [
-          "ALADDIN_SUPERVISE"; "ALADDIN_SUPERVISE_RETRIES";
-          "ALADDIN_SUPERVISE_BACKOFF_MS"; "ALADDIN_SUPERVISE_JITTER";
-          "ALADDIN_SUPERVISE_THRESHOLD"; "ALADDIN_SUPERVISE_COOLDOWN";
-          "ALADDIN_SUPERVISE_TIMEOUT_MS"; "ALADDIN_SUPERVISE_EWMA";
-          "ALADDIN_SUPERVISE_SEED";
-        ]
-    then { spec with supervise = Some (Cells.Supervisor.config_of_env ()) }
-    else spec
+    match knob "ALADDIN_CELLS_MODE" ~expected:modes mode_of_string with
+    | Some m -> { spec with cells_mode = Some m }
+    | None -> spec
   in
   let spec =
     match Env.float_opt "ALADDIN_DEADLINE_MS" with
@@ -172,12 +173,10 @@ let serve_env_serve () =
 let value_flags =
   [
     "--sched"; "--solver"; "--cells"; "--cells-mode"; "--deadline-ms";
-    "--ladder"; "--serve-machines"; "--supervise-retries";
-    "--supervise-threshold"; "--supervise-cooldown"; "--supervise-timeout-ms";
-    "--supervise-backoff-ms";
+    "--ladder"; "--serve-machines";
   ]
 
-let bare_flags = [ "--audit"; "--no-audit"; "--serve"; "--supervise" ]
+let bare_flags = [ "--audit"; "--no-audit"; "--serve" ]
 
 let of_args ?(base = default) args =
   let ( let* ) = Result.bind in
@@ -196,14 +195,6 @@ let of_args ?(base = default) args =
       match spec.serve with Some sv -> sv | None -> serve_env_serve ()
     in
     { spec with serve = Some (f sv) }
-  in
-  let with_supervise spec f =
-    let sc =
-      match spec.supervise with
-      | Some sc -> sc
-      | None -> Cells.Supervisor.config_of_env ()
-    in
-    { spec with supervise = Some (f sc) }
   in
   let rec go spec = function
     | [] -> Ok spec
@@ -225,9 +216,7 @@ let of_args ?(base = default) args =
         match mode_of_string v with
         | Some m -> go { spec with cells_mode = Some m } rest
         | None ->
-            Error
-              (Printf.sprintf
-                 "--cells-mode: %S (expected auto|domains|sequential)" v))
+            Error (Printf.sprintf "--cells-mode: %S (expected %s)" v modes))
     | "--deadline-ms" :: v :: rest ->
         float_arg "--deadline-ms" v (fun d ->
             go { spec with deadline_ms = d; audit = spec.audit || d > 0. } rest)
@@ -241,43 +230,6 @@ let of_args ?(base = default) args =
     | "--serve-machines" :: v :: rest ->
         int_arg "--serve-machines" v (fun n ->
             go (with_serve spec (fun sv -> { sv with serve_machines = n })) rest)
-    | "--supervise" :: rest -> go (with_supervise spec Fun.id) rest
-    | "--supervise-retries" :: v :: rest ->
-        int_arg "--supervise-retries" v (fun n ->
-            if n < 0 then Error "--supervise-retries: must be >= 0"
-            else
-              go
-                (with_supervise spec (fun sc ->
-                     { sc with Cells.Supervisor.max_retries = n }))
-                rest)
-    | "--supervise-threshold" :: v :: rest ->
-        int_arg "--supervise-threshold" v (fun n ->
-            if n < 1 then Error "--supervise-threshold: must be >= 1"
-            else
-              go
-                (with_supervise spec (fun sc ->
-                     { sc with Cells.Supervisor.failure_threshold = n }))
-                rest)
-    | "--supervise-cooldown" :: v :: rest ->
-        int_arg "--supervise-cooldown" v (fun n ->
-            if n < 1 then Error "--supervise-cooldown: must be >= 1"
-            else
-              go
-                (with_supervise spec (fun sc ->
-                     { sc with Cells.Supervisor.cooldown = n }))
-                rest)
-    | "--supervise-timeout-ms" :: v :: rest ->
-        float_arg "--supervise-timeout-ms" v (fun d ->
-            go
-              (with_supervise spec (fun sc ->
-                   { sc with Cells.Supervisor.join_timeout_ms = Float.max 0. d }))
-              rest)
-    | "--supervise-backoff-ms" :: v :: rest ->
-        float_arg "--supervise-backoff-ms" v (fun d ->
-            go
-              (with_supervise spec (fun sc ->
-                   { sc with Cells.Supervisor.backoff_ms = Float.max 0. d }))
-              rest)
     | [ flag ] when List.mem flag value_flags ->
         Error (flag ^ " requires a value")
     | arg :: _ ->
@@ -316,7 +268,7 @@ let build spec =
     | Cells ->
         let comp =
           Aladdin.Cells_scheduler.create ?cells:spec.cells
-            ?mode:spec.cells_mode ?supervise:spec.supervise ()
+            ?mode:spec.cells_mode ()
         in
         ( Aladdin.Cells_scheduler.scheduler comp,
           (fun () -> Aladdin.Cells_scheduler.shutdown comp),

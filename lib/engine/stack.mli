@@ -42,12 +42,8 @@ type spec = {
       (** pin a {!Flownet.Registry} backend; [None] follows
           [ALADDIN_SOLVER] / the registry default *)
   (* cells sharding *)
-  cells : int option;  (** [None] = {!Cells.Partition.default_cells} *)
-  cells_mode : Cells.Coordinator.mode option;
-  supervise : Cells.Supervisor.config option;
-      (** attach a {!Cells.Supervisor} to the cells coordinator:
-          per-cell retry/backoff, join timeouts, quarantine with machine
-          redistribution *)
+  cells : int option;  (** [None] = one cell *)
+  cells_mode : Cells.Coordinator.mode option;  (** [None] = [`Auto] *)
   (* middleware *)
   deadline_ms : float;  (** > 0 wraps the stack in the deadline ladder *)
   ladder_rungs : string list option;
@@ -74,25 +70,22 @@ val of_name : ?base:spec -> string -> (spec, string) result
 val of_env : ?base:spec -> unit -> spec
 (** [base] (default {!default}) overlaid with every [ALADDIN_*] stack
     knob present in the environment: [ALADDIN_SOLVER], [ALADDIN_CELLS]
-    (last entry), [ALADDIN_CELLS_MODE], [ALADDIN_DEADLINE_MS] (also arms
-    {!audit}, as the bench always audited deadline-bounded runs),
-    [ALADDIN_LADDER] (via {!Ladder.rungs_of_env}), and [ALADDIN_SUPERVISE]
-    (any [ALADDIN_SUPERVISE*] knob implies supervision on, config from
-    {!Cells.Supervisor.config_of_env}). Unset variables leave [base]
-    untouched.
-    @raise Invalid_argument on an unknown [ALADDIN_LADDER] rung. *)
+    (a positive integer), [ALADDIN_CELLS_MODE] (as [--cells-mode]),
+    [ALADDIN_DEADLINE_MS] (also arms {!audit}, as the bench always
+    audited deadline-bounded runs) and [ALADDIN_LADDER] (via
+    {!Ladder.rungs_of_env}). This is the only reader of the cells
+    variables. Unset or blank variables leave [base] untouched.
+    @raise Invalid_argument on a malformed [ALADDIN_CELLS] or
+    [ALADDIN_CELLS_MODE] or an unknown [ALADDIN_LADDER] rung, naming the
+    expected values. *)
 
 val of_args : ?base:spec -> string list -> (spec, string) result
 (** CLI form of {!of_env}: [--sched NAME --solver NAME --cells N
     --cells-mode auto|domains|sequential --deadline-ms F --ladder r1,r2
-    (checked by {!Ladder.rungs_of_string}) --audit
-    --serve --serve-machines N --supervise --supervise-retries N
-    --supervise-threshold N --supervise-cooldown N
-    --supervise-timeout-ms F --supervise-backoff-ms F]. [--serve]
-    attaches {!Serve.Runner.config_of_env}; [--supervise] (implied by
-    any [--supervise-*] knob) attaches
-    {!Cells.Supervisor.config_of_env}. Unknown arguments are an
-    [Error]. *)
+    (checked by {!Ladder.rungs_of_string}) --audit --no-audit
+    --serve --serve-machines N]. [--serve] attaches
+    {!Serve.Runner.config_of_env}. Unknown arguments are an [Error]
+    listing the known flags. *)
 
 type built = {
   spec : spec;

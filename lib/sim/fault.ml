@@ -8,11 +8,7 @@ type t = {
   solver_failure_budget : int;
   process_kill_after : int;
   cell_crash : float;
-  cell_stall : float;
-  cell_slow : float;
   cell_corrupt : float;
-  cell_stall_s : float;
-  cell_targets : int list;
   cell_fault_budget : int;
 }
 
@@ -57,16 +53,13 @@ let c_arcs = Obs.counter "fault.flipped_arcs"
 let c_revoked = Obs.counter "fault.revoked_machines"
 let c_kills = Obs.counter "fault.process_kills"
 let c_cell_crashes = Obs.counter "fault.cell_crashes"
-let c_cell_stalls = Obs.counter "fault.cell_stalls"
-let c_cell_slowdowns = Obs.counter "fault.cell_slowdowns"
 let c_cell_corruptions = Obs.counter "fault.cell_corruptions"
 
 let make ?(trace_line_corruption = 0.) ?(arc_cost_flip = 0.)
     ?(arc_capacity_drop = 0.) ?(machine_revocation = 0.)
     ?(solver_step_failure = 0.) ?(solver_failure_budget = -1)
-    ?(process_kill_after = -1) ?(cell_crash = 0.) ?(cell_stall = 0.)
-    ?(cell_slow = 0.) ?(cell_corrupt = 0.) ?(cell_stall_s = 0.05)
-    ?(cell_targets = []) ?(cell_fault_budget = -1) ~seed () =
+    ?(process_kill_after = -1) ?(cell_crash = 0.) ?(cell_corrupt = 0.)
+    ?(cell_fault_budget = -1) ~seed () =
   {
     seed;
     trace_line_corruption;
@@ -77,11 +70,7 @@ let make ?(trace_line_corruption = 0.) ?(arc_cost_flip = 0.)
     solver_failure_budget;
     process_kill_after;
     cell_crash;
-    cell_stall;
-    cell_slow;
     cell_corrupt;
-    cell_stall_s;
-    cell_targets;
     cell_fault_budget;
   }
 
@@ -230,8 +219,6 @@ let perturb_arc ~cost ~capacity =
    revocation classes. Each class hashes independently, preserving the
    "enabling one class does not perturb the others" rule. *)
 
-type cell_verdict = [ `None | `Crash | `Stall of float | `Slow of float ]
-
 let side_draw st ~cell ~probe ~klass =
   Rng.float
     (Rng.create
@@ -239,9 +226,6 @@ let side_draw st ~cell ~probe ~klass =
        lxor (cell * 0x9e3779b9)
        lxor (probe * 0x85ebca6b)
        lxor (klass * 0xc2b2ae35)))
-
-let targeted st cell =
-  st.cfg.cell_targets = [] || List.mem cell st.cfg.cell_targets
 
 let next_probe st cell =
   let k =
@@ -254,60 +238,29 @@ let spend st =
   if st.cell_budget_left > 0 then
     st.cell_budget_left <- st.cell_budget_left - 1
 
-let cell_fault ~cell =
-  match
-    with_state (fun st ->
-        let cfg = st.cfg in
-        if
-          (cfg.cell_crash = 0. && cfg.cell_stall = 0. && cfg.cell_slow = 0.)
-          || not (targeted st cell)
-        then `None
-        else begin
-          let probe = next_probe st cell in
-          if st.cell_budget_left = 0 then `None
-          else
-            let fire p klass =
-              p > 0. && side_draw st ~cell ~probe ~klass < p
-            in
-            if fire cfg.cell_crash 1 then begin
-              spend st;
-              Obs.incr c_cell_crashes;
-              `Crash
-            end
-            else if fire cfg.cell_stall 2 then begin
-              spend st;
-              Obs.incr c_cell_stalls;
-              `Stall cfg.cell_stall_s
-            end
-            else if fire cfg.cell_slow 3 then begin
-              spend st;
-              Obs.incr c_cell_slowdowns;
-              `Slow (cfg.cell_stall_s /. 4.)
-            end
-            else `None
-        end)
-  with
-  | None -> `None
-  | Some v -> (v : cell_verdict)
+(* One probe of a cell fault class: fires with the class's probability
+   while the shared cell budget lasts. *)
+let cell_probe ~cell ~klass counter rate =
+  with_state (fun st ->
+      let p = rate st.cfg in
+      if p = 0. then false
+      else begin
+        let probe = next_probe st cell in
+        if st.cell_budget_left <> 0 && side_draw st ~cell ~probe ~klass < p
+        then begin
+          spend st;
+          Obs.incr counter;
+          true
+        end
+        else false
+      end)
+  = Some true
+
+let cell_crash ~cell =
+  cell_probe ~cell ~klass:1 c_cell_crashes (fun cfg -> cfg.cell_crash)
 
 let cell_corrupt ~cell =
-  match
-    with_state (fun st ->
-        if st.cfg.cell_corrupt = 0. || not (targeted st cell) then false
-        else begin
-          let probe = next_probe st cell in
-          if st.cell_budget_left = 0 then false
-          else if side_draw st ~cell ~probe ~klass:4 < st.cfg.cell_corrupt
-          then begin
-            spend st;
-            Obs.incr c_cell_corruptions;
-            true
-          end
-          else false
-        end)
-  with
-  | None -> false
-  | Some v -> v
+  cell_probe ~cell ~klass:4 c_cell_corruptions (fun cfg -> cfg.cell_corrupt)
 
 let pick_revocation ?(is_offline = fun _ -> false) ~n_machines () =
   Option.join

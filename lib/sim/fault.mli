@@ -33,19 +33,9 @@ type t = {
           One-shot: after firing, the countdown disarms so a resumed run
           gets past the same point. *)
   cell_crash : float;  (** per-probe probability a cell task crashes *)
-  cell_stall : float;
-      (** per-probe probability a cell task stalls for [cell_stall_s] —
-          long enough to trip the supervisor's join timeout *)
-  cell_slow : float;
-      (** per-probe probability of latency inflation by
-          [cell_stall_s / 4] — slow, but inside the join timeout *)
   cell_corrupt : float;
       (** per-probe probability of mirror corruption (a duplicated
           placement event), surfacing as a phase-2 [Desync] *)
-  cell_stall_s : float;  (** stall duration in wall seconds *)
-  cell_targets : int list;
-      (** cells eligible for domain faults; [[]] means every cell —
-          pinning one index makes quarantine drills deterministic *)
   cell_fault_budget : int;
       (** max number of domain-fault firings across all classes;
           [-1] unlimited *)
@@ -70,17 +60,13 @@ val make :
   ?solver_failure_budget:int ->
   ?process_kill_after:int ->
   ?cell_crash:float ->
-  ?cell_stall:float ->
-  ?cell_slow:float ->
   ?cell_corrupt:float ->
-  ?cell_stall_s:float ->
-  ?cell_targets:int list ->
   ?cell_fault_budget:int ->
   seed:int ->
   unit ->
   t
 (** All probabilities default to [0.]; budgets/countdowns default to
-    [-1]; [cell_stall_s] defaults to [0.05] wall seconds. *)
+    [-1]. *)
 
 val install : t -> unit
 (** Make [t] the active configuration (re-seeding the draw stream). *)
@@ -126,25 +112,20 @@ val perturb_arc : cost:int -> capacity:int -> int * int
     (minus one, so 0 flips too) with probability [arc_cost_flip], the
     capacity dropped to 0 with probability [arc_capacity_drop]. *)
 
-type cell_verdict = [ `None | `Crash | `Stall of float | `Slow of float ]
-
-val cell_fault : cell:int -> cell_verdict
-(** Domain-level fault verdict for one cell task, probed at task start.
-    [`Crash] means the prober should raise {!Injected}; [`Stall s] /
-    [`Slow s] mean it should sleep [s] wall seconds ([cell_stall_s] and
-    [cell_stall_s / 4] respectively) before (or instead of a timely)
-    solve. Verdicts are drawn from a side stream hashed per
-    [(seed, cell, probe index, class)] — deterministic per cell whatever
-    the domain interleaving, and consuming {e no} draws from the main
-    counted stream, so domain faults never perturb the journaled fault
-    schedule. Honors [cell_targets] and [cell_fault_budget]; counted
-    under [fault.cell_crashes] / [.cell_stalls] / [.cell_slowdowns]. *)
+val cell_crash : cell:int -> bool
+(** Crash verdict for one cell task, probed at task start: [true] tells
+    the prober to raise {!Injected}. Verdicts are drawn from a side
+    stream hashed per [(seed, cell, probe index, class)] — deterministic
+    per cell whatever the domain interleaving, and consuming {e no} draws
+    from the main counted stream, so domain faults never perturb the
+    journaled fault schedule. Honors [cell_fault_budget]; counted under
+    [fault.cell_crashes]. *)
 
 val cell_corrupt : cell:int -> bool
 (** Mirror-corruption verdict for one cell task, probed after its solve:
     [true] tells the coordinator to corrupt the cell's event trace (a
     duplicated placement), which phase 2 then detects as a [Desync].
-    Same side-stream discipline as {!cell_fault}; counted under
+    Same side-stream discipline as {!cell_crash}; counted under
     [fault.cell_corruptions]. *)
 
 val pick_revocation :

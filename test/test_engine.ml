@@ -266,6 +266,42 @@ let lists_known ~known e =
       at 0)
     known
 
+(* The cells variables parse as their flags do: the same mode names, a
+   positive cell count, and an error naming the expected values. *)
+let test_cells_env () =
+  let env name v =
+    Unix.putenv name v;
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv name "")
+      (fun () ->
+        match Stack.of_env () with
+        | s -> Ok s
+        | exception Invalid_argument e -> Error e)
+  in
+  let mode v =
+    match env "ALADDIN_CELLS_MODE" v with
+    | Ok s -> s.Stack.cells_mode
+    | Error e -> Alcotest.failf "ALADDIN_CELLS_MODE=%s: %s" v e
+  in
+  check bool "seq" true (mode "seq" = Some `Sequential);
+  check bool "Sequential" true (mode "Sequential" = Some `Sequential);
+  check bool "domains" true (mode "domains" = Some `Domains);
+  check bool "blank reads as unset" true (mode "" = None);
+  let rejected name v ~expect =
+    match env name v with
+    | Ok _ -> Alcotest.failf "%s=%s accepted" name v
+    | Error e ->
+        if not (lists_known ~known:[ name; expect ] e) then
+          Alcotest.failf "%s=%s: error does not name %S: %s" name v expect e
+  in
+  rejected "ALADDIN_CELLS_MODE" "bogus" ~expect:"auto|domains|sequential";
+  rejected "ALADDIN_CELLS" "abc" ~expect:"positive integer";
+  rejected "ALADDIN_CELLS" "0" ~expect:"positive integer";
+  rejected "ALADDIN_CELLS" "2,4" ~expect:"positive integer";
+  match env "ALADDIN_CELLS" "4" with
+  | Ok s -> check bool "cell count" true (s.Stack.cells = Some 4)
+  | Error e -> Alcotest.fail e
+
 (* The cost-blind backends and the Dijkstra queue knob are gone: their
    names are rejected, and each error lists the names that remain. *)
 let test_rejects_removed_names () =
@@ -281,6 +317,10 @@ let test_rejects_removed_names () =
     (Stack.of_args [ "--ladder"; "mincost,push-relabel" ]);
   rejected "--dijkstra heap" ~known:[ "--sched"; "--ladder"; "--audit" ]
     (Stack.of_args [ "--dijkstra"; "heap" ]);
+  rejected "--supervise" ~known:[ "--sched"; "--cells"; "--cells-mode" ]
+    (Stack.of_args [ "--supervise" ]);
+  rejected "--supervise-retries 1" ~known:[ "--sched"; "--cells"; "--serve" ]
+    (Stack.of_args [ "--supervise-retries"; "1" ]);
   Unix.putenv "ALADDIN_LADDER" "dinic";
   let env =
     match Stack.of_env () with
@@ -331,6 +371,7 @@ let () =
           Alcotest.test_case "of_name" `Quick test_of_name;
           Alcotest.test_case "of_args" `Quick test_of_args;
           Alcotest.test_case "of_env" `Quick test_of_env;
+          Alcotest.test_case "cells env" `Quick test_cells_env;
           Alcotest.test_case "rejects removed names" `Quick
             test_rejects_removed_names;
         ] );
