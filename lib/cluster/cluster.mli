@@ -1,10 +1,11 @@
-(** Mutable cluster placement state shared by every scheduler: machines,
-    the container→machine map, and the incrementally maintained blacklists.
+(** Mutable cluster placement state shared by every scheduler: machines
+    and the container→machine map.
 
     Schedulers mutate a cluster through {!place} / {!remove}; the admission
-    check implements the full Aladdin capacity function (vector fit +
-    blacklist), with an escape hatch for baselines that tolerate
-    violations. *)
+    check implements the full Aladdin capacity function (vector fit + the
+    Eq. 8 blacklist), with an escape hatch for baselines that tolerate
+    violations. The blacklist is not stored: it is derived on demand from
+    the apps each machine hosts and the constraint set. *)
 
 type t
 
@@ -38,7 +39,10 @@ val machines : t -> Machine.t array
 
 val admissible : t -> Container.t -> Machine.id -> (unit, denial) result
 (** Capacity + blacklist check, no mutation. Offline machines admit
-    nothing. *)
+    nothing. The container's app is blacklisted on a machine iff a
+    conflicting app (itself under anti-within, or an across partner) has
+    a container there; the denial names the first such app in
+    {!Machine.iter_apps} order. *)
 
 val set_offline : t -> Machine.id -> bool -> unit
 (** Quarantine a machine (hardware failure, maintenance). Going offline
@@ -72,7 +76,6 @@ val current_violations : t -> Violation.t list
 (** Anti-affinity violations present in the current placement (each
     offending container counted once per conflicting app on its machine). *)
 
-val blacklist : t -> Blacklist.t
 val reset : t -> unit
 (** Remove every placement. *)
 

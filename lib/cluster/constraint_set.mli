@@ -21,6 +21,10 @@ val conflict : t -> Application.id -> Application.id -> bool
 (** [conflict t a b] for [a <> b]: the two apps may not colocate.
     [conflict t a a]: containers of [a] may not colocate (anti-within). *)
 
+val across_of : t -> Application.id -> Application.id list
+(** Apps in across-app conflict with [a] (never [a] itself). Symmetric:
+    [b] is in [across_of t a] iff [a] is in [across_of t b]. *)
+
 val conflicting_apps : t -> Application.id -> Application.id list
 (** Apps in conflict with [a], including [a] itself when anti-within. *)
 

@@ -56,6 +56,7 @@ let is_used m = n_containers m > 0
 let containers m = Hashtbl.fold (fun _ c acc -> c :: acc) m.deployed []
 let hosts m cid = Hashtbl.mem m.deployed cid
 let app_count m app = Option.value ~default:0 (Hashtbl.find_opt m.app_counts app)
+let hosts_app m app = Hashtbl.mem m.app_counts app
 let iter_apps m f = Hashtbl.iter f m.app_counts
 let utilization m = Resource.utilization ~used:(used m) ~capacity:m.capacity
 

@@ -29,6 +29,9 @@ val hosts : t -> Container.id -> bool
 val app_count : t -> Application.id -> int
 (** Deployed containers of a given app on this machine. *)
 
+val hosts_app : t -> Application.id -> bool
+(** [app_count m app > 0], without allocating. *)
+
 val iter_apps : t -> (Application.id -> int -> unit) -> unit
 val utilization : t -> float
 val pp : Format.formatter -> t -> unit

@@ -63,19 +63,20 @@ let schedule_batch ~carry options cluster batch =
     | Some base -> Weights.fixed ~base batch ~capacity
     | None -> Weights.compute batch ~capacity
   in
-  (* Eq. 9: augment heavier weighted flows first; ties in arrival order. *)
-  let order = Array.copy batch in
+  (* Eq. 9: augment heavier weighted flows first; ties in arrival order.
+     Each key is computed once; the comparisons, and so the permutation,
+     are those of sorting the containers by key directly. *)
+  let order =
+    Array.map (fun c -> (Weights.weighted_magnitude weights c, c)) batch
+  in
   Array.sort
-    (fun a b ->
-      match
-        Int.compare (Weights.weighted_magnitude weights b)
-          (Weights.weighted_magnitude weights a)
-      with
+    (fun (ka, a) (kb, b) ->
+      match Int.compare kb ka with
       | 0 -> Container.compare_by_arrival a b
       | c -> c)
     order;
   let queue = Queue.create () in
-  Array.iter (fun c -> Queue.push c queue) order;
+  Array.iter (fun (_, c) -> Queue.push c queue) order;
   let requeue_count : (Container.id, int) Hashtbl.t = Hashtbl.create 64 in
   (* Stuck memo: (app, demand, priority) -> the cluster version at which
      both planners last failed for that key. A failed plan of either

@@ -17,10 +17,6 @@ let medea ~a ~b ~c =
 let aladdin ?base ?(il = true) ?(dl = true) () =
   build { spec with kind = Engine.Stack.Aladdin; il; dl; weight_base = base }
 
-let cells ?cells ?mode () =
-  Engine.Stack.build
-    { spec with kind = Engine.Stack.Cells; cells; cells_mode = mode }
-
 let descriptions =
   [
     ("Firmament-TRIVIAL", "Containers always scheduled if resources are idle.");

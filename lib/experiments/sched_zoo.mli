@@ -12,10 +12,5 @@ val firmament : ?solver:string -> Cost_model.t -> reschd:int -> Scheduler.t
 val medea : a:float -> b:float -> c:float -> Scheduler.t
 val aladdin : ?base:int -> ?il:bool -> ?dl:bool -> unit -> Scheduler.t
 
-val cells :
-  ?cells:int -> ?mode:Cells.Coordinator.mode -> unit -> Engine.Stack.built
-(** The sharded composite. Returned as the full {!Engine.Stack.built} —
-    callers must [shutdown] it after the replay to release its domains. *)
-
 val descriptions : (string * string) list
 (** Table I: name → one-line description. *)
