@@ -1,7 +1,8 @@
 (** Attribute an undeployed container to the constraint class that blocked
     it, the way Fig. 9(e) reports violation composition:
 
-    - anti-affinity: some machine had the resources but the blacklist
+    - anti-affinity: some machine had the resources but a conflicting app
+      deployed there (the Eq. 8 blacklist {!Cluster.admissible} derives)
       rejected the container;
     - priority inversion: capacity exists only under lower-priority
       containers that a globally-optimizing scheduler would have displaced;

@@ -4,7 +4,9 @@
     Machines are ranked by a packing preference (machines already hosting
     containers, in activation order, then empty machines) — the "shortest
     path" of the SPFA formulation. A machine is admissible when the full
-    capacity function accepts the container: vector fit plus blacklist.
+    capacity function accepts the container: vector fit plus the Eq. 8
+    blacklist, which {!Cluster.admissible} derives from the apps deployed
+    on the machine.
 
     - {b Isomorphism limiting (IL)}: containers of one application are
       isomorphic, so a (app, machine) admissibility failure is cached and

@@ -1,9 +1,10 @@
 (* Post-batch invariant auditor. Every invariant is re-derived from first
    principles — machine container lists, raw demand vectors, the
    constraint set — rather than trusting the incrementally maintained
-   bookkeeping (free vectors, blacklists) the schedulers themselves use,
-   so a bug or an injected fault in that bookkeeping is caught one batch
-   after it lands instead of corrupting the rest of the run. *)
+   bookkeeping (free vectors, per-machine app counts) the schedulers
+   themselves use, so a bug or an injected fault in that bookkeeping is
+   caught one batch after it lands instead of corrupting the rest of the
+   run. *)
 
 type violation =
   | Capacity_overrun of { machine : Machine.id; container : Container.t }
@@ -71,7 +72,7 @@ let check cluster ~batch ~(outcome : Scheduler.outcome) =
         (* Anti-affinity (both anti-within and across-app): keep a maximal
            conflict-free subset, highest priority first; the rest are
            violations. Conflict is re-tested pairwise through the
-           constraint set, not through the cluster's blacklist. *)
+           constraint set, not through the cluster's app counts. *)
         let order = List.sort victim_order (List.rev cts) in
         (* victim_order ascending = worst first; keep from the back *)
         let keep = ref [] in

@@ -16,7 +16,7 @@ let blockers cluster app mid =
     (Machine.containers (Cluster.machine cluster mid))
 
 (* Try to move [b] to any admissible machine other than [forbidden]. The
-   container is removed first so its own blacklist entries don't block the
+   container is removed first so its own app count doesn't block the
    re-placement scan. *)
 let relocate cluster (b : Container.t) ~forbidden =
   Cluster.remove cluster b.Container.id;
